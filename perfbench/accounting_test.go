@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"math"
 	"net/http"
 	"testing"
 	"time"
@@ -10,30 +9,28 @@ import (
 	"pbqpdnn/internal/serve"
 )
 
-// accountingTolerance is the stated fraction within which the layers
-// of a traced open-loop phase (transport, handler self time and the
-// four batcher phases) must add up to the mean client latency.
-const accountingTolerance = 0.01
-
 // TestLayerAccounting serves smallnet traced, as a traced run does,
-// and checks that the open-loop phase's layers account for the client
-// latency: the phase histograms cover exactly the phase's served
-// requests, every request's handler span nests inside its client span,
-// no layer is negative, and the layers sum to the mean client latency.
+// and checks what the layer accounting rests on. Transport and handler
+// self time are defined as differences, so the layers add up to the
+// mean client latency by construction; what can fail is that the phase
+// histograms cover exactly the phase's served requests, that every
+// request's handler span is parented by its client span and lies
+// inside it, that the four phases fit inside the handler time, and
+// that transport takes time.
 func TestLayerAccounting(t *testing.T) {
-	spec := serveSpec{Model: "smallnet", Images: 8}
-	reg, err := serve.NewRegistry([]string{spec.Model}, registryConfig(spec, 1))
+	reg, err := serve.NewRegistry([]string{serveModel}, registryConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := newTracer()
-	s, err := startSession(reg, spec.Model, tr)
+	s, err := startSession(reg, serveModel, tr)
 	if err != nil {
 		reg.Close()
 		t.Fatal(err)
 	}
 	defer s.stop()
-	in, err := makeInputs(1, spec.Images, s.m.InC, s.m.InH, s.m.InW)
+	const images = 8
+	in, err := makeInputs(1, images, s.m.InC, s.m.InH, s.m.InW)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,20 +39,17 @@ func TestLayerAccounting(t *testing.T) {
 
 	sched := poissonSchedule(1, 40, 1500*time.Millisecond)
 	before := s.m.Metrics.PhaseSnapshots()
-	open := s.c.openLoop(ctx, in, sched, imageOrder(1, "open-images", len(sched), spec.Images))
+	open := s.c.openLoop(ctx, in, sched, imageOrder(1, "open-images", len(sched), images))
 	phases := phasesSince(s.m, before)
 	s.settle()
 
-	served := 0
 	handler := map[int64]Span{}
-	for _, sp := range tr.snapshot() {
-		if sp.Name == "serve.Handler" {
-			handler[sp.Request] = sp
-		}
-	}
 	clients := map[int64]Span{}
 	for _, sp := range tr.snapshot() {
-		if sp.Name == "client.Request" {
+		switch sp.Name {
+		case "serve.Handler":
+			handler[sp.Request] = sp
+		case "client.Request":
 			clients[sp.ID] = sp
 		}
 	}
@@ -64,19 +58,22 @@ func TestLayerAccounting(t *testing.T) {
 		if o.Err != nil || o.Status != http.StatusOK {
 			t.Fatalf("request %d: status %d, err %v", o.ID, o.Status, o.Err)
 		}
-		served++
-		h := handler[o.ID]
+		h, ok := handler[o.ID]
+		if !ok {
+			t.Fatalf("request %d: no handler span", o.ID)
+		}
 		c, ok := clients[h.Parent]
 		if !ok || c.Request != o.ID {
 			t.Fatalf("request %d: handler span's parent %d is not the request's client span", o.ID, h.Parent)
 		}
-		if h.StartNS < c.StartNS {
-			t.Fatalf("request %d: handler span starts at %d ns, before its client span at %d ns", o.ID, h.StartNS, c.StartNS)
+		if h.StartNS < c.StartNS || h.EndNS > c.EndNS {
+			t.Fatalf("request %d: handler span [%d, %d] ns does not lie inside its client span [%d, %d] ns",
+				o.ID, h.StartNS, h.EndNS, c.StartNS, c.EndNS)
 		}
 	}
 	for _, name := range serve.PhaseNames {
-		if got := phases[name].Count; got != int64(served) {
-			t.Fatalf("phase %s observed %d requests in the window, want the %d served", name, got, served)
+		if got := phases[name].Count; got != int64(len(open)) {
+			t.Fatalf("phase %s observed %d requests in the window, want the %d served", name, got, len(open))
 		}
 	}
 
@@ -84,11 +81,10 @@ func TestLayerAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lay.TransportMS < 0 || lay.HandlerSelfMS < 0 {
-		t.Fatalf("negative layer: %+v", lay)
+	if lay.HandlerSelfMS < 0 {
+		t.Fatalf("the four phases' mean times sum past the mean handler time: %+v", lay)
 	}
-	if d := math.Abs(lay.Sum()-lay.ClientMS) / lay.ClientMS; d > accountingTolerance {
-		t.Fatalf("layers sum to %.4f ms, client mean %.4f ms (off by %.2f%%, want ≤ %.0f%%): %+v",
-			lay.Sum(), lay.ClientMS, 100*d, 100*accountingTolerance, lay)
+	if lay.TransportMS <= 0 {
+		t.Fatalf("transport took no time: %+v", lay)
 	}
 }

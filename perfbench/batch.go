@@ -13,20 +13,24 @@ import (
 	"pbqpdnn/internal/tensor"
 )
 
-// batchSpec is an in-process workload: the model's analytic-Haswell
-// plans compiled at bucket 1 and bucket Batch, with RunBatch called
-// back to back, alternating one full batch and one single image.
-type batchSpec struct {
-	Model string
-	Batch int
-	// Limit is the per-batch latency limit a batch must meet to count
-	// toward goodput.
-	Limit time.Duration
-	// Checked of the Batch seeded images are compared against
-	// exec.Reference; SetupReps is how many times an untraced run sets
-	// up (setup_s is the median).
-	Checked, SetupReps int
-}
+// The in-process workload: GoogLeNet's analytic-Haswell plans compiled
+// at bucket 1 and bucket batchN, with RunBatch called back to back,
+// alternating one full batch and singlesPerBatch single images.
+const (
+	batchModel = "googlenet"
+	batchN     = 8
+	// batchLimit is the per-batch latency limit a batch must meet to
+	// count toward goodput.
+	batchLimit = 5 * time.Second
+	// batchChecked of the batchN seeded images are compared against
+	// exec.Reference.
+	batchChecked = 1
+	// An untraced run sets up batchSetUpsPerPoint times before, halfway
+	// through and after its window (setup_s is the median): the host's
+	// speed wanders over seconds, so set-ups spread over the run give a
+	// steadier median than one burst at its start.
+	batchSetUpsPerPoint = 5
+)
 
 // engines are one set-up's bucket-1 and bucket-N engines.
 type engines struct {
@@ -39,24 +43,24 @@ type engines struct {
 
 // setUp builds the network and its weights, selects both buckets'
 // plans and compiles their engines, recording a span per module call.
-func setUp(tr *tracer, spec batchSpec, profile bool) (*engines, error) {
-	net, err := models.Build(spec.Model)
+func setUp(tr *tracer, profile bool) (*engines, error) {
+	net, err := models.Build(batchModel)
 	if err != nil {
 		return nil, err
 	}
 	w := exec.NewWeights(net)
 	e := &engines{net: net, w: w}
 	opts := selector.Options{Prof: cost.NewModel(cost.IntelHaswell), Threads: runtime.GOMAXPROCS(0)}
-	for _, b := range []int{1, spec.Batch} {
+	for _, b := range []int{1, batchN} {
 		var plan *selector.Plan
 		tr.timed("selector.SelectBatch", 0, func() { plan, err = selector.SelectBatch(net, b, opts) })
 		if err != nil {
-			return nil, fmt.Errorf("perfbench: selecting %s at batch %d: %w", spec.Model, b, err)
+			return nil, fmt.Errorf("perfbench: selecting %s at batch %d: %w", batchModel, b, err)
 		}
 		var eng *exec.Engine
 		tr.timed("exec.NewEngineBatch", 0, func() { eng, err = exec.NewEngineBatch(plan, w, b) })
 		if err != nil {
-			return nil, fmt.Errorf("perfbench: compiling %s at batch %d: %w", spec.Model, b, err)
+			return nil, fmt.Errorf("perfbench: compiling %s at batch %d: %w", batchModel, b, err)
 		}
 		if profile {
 			eng.EnableProfiling(1)
@@ -110,35 +114,44 @@ func timedRun(tr *tracer, eng *exec.Engine, xs []*tensor.Tensor, first int) batc
 	return br
 }
 
+// timedSetUps sets up batchSetUpsPerPoint times, appending each
+// set-up's wall time (s) and plan stamps, and returns the last set-up.
+func timedSetUps(setups *[]float64, stamps *[][]PlanStamp) (*engines, error) {
+	var e *engines
+	for range batchSetUpsPerPoint {
+		start := time.Now()
+		var err error
+		if e, err = setUp(nil, false); err != nil {
+			return nil, err
+		}
+		*setups = append(*setups, time.Since(start).Seconds())
+		*stamps = append(*stamps, e.stamps())
+	}
+	return e, nil
+}
+
 // runBatch runs the in-process workload. The serving tier does no work
 // here.
-func runBatch(r *run, spec batchSpec) error {
+func runBatch(r *run) error {
 	var e *engines
+	var setups []float64
+	var stamps [][]PlanStamp
 	if r.tr == nil {
-		var setups []float64
-		var stamps [][]PlanStamp
-		for range spec.SetupReps {
-			start := time.Now()
-			var err error
-			if e, err = setUp(nil, spec, false); err != nil {
-				return err
-			}
-			setups = append(setups, time.Since(start).Seconds())
-			stamps = append(stamps, e.stamps())
+		var err error
+		if e, err = timedSetUps(&setups, &stamps); err != nil {
+			return err
 		}
-		r.got["setup_s"] = median(setups)
 		r.prov.Plans = stamps[0]
-		r.check(checkRepeat(r.dir, r.prov, stamps))
 	} else {
 		var err error
-		if e, err = setUp(r.tr, spec, false); err != nil {
+		if e, err = setUp(r.tr, false); err != nil {
 			return err
 		}
 		r.prov.Plans = e.stamps()
 	}
-	r.prov.Profiler = profilerName(false)
+	r.prov.Profiler = analyticProfiler
 	in := e.net.Layers[0]
-	imgs := makeImages(r.seed, spec.Batch, in.OutC, in.OutH, in.OutW)
+	imgs := makeImages(r.seed, batchN, in.OutC, in.OutH, in.OutW)
 	xs := make([]*tensor.Tensor, len(imgs))
 	for i, d := range imgs {
 		xs[i] = tensor.NewWith(tensor.CHW, in.OutC, in.OutH, in.OutW, d)
@@ -148,22 +161,32 @@ func runBatch(r *run, spec batchSpec) error {
 	window := r.seconds
 	var full, single []batchRun
 	if r.tr == nil {
-		full, single = e.alternate(nil, xs, window)
+		full, single = e.alternate(nil, xs, window/2)
+		if _, err := timedSetUps(&setups, &stamps); err != nil {
+			return err
+		}
+		full2, single2 := e.alternate(nil, xs, window-window/2)
+		full, single = append(full, full2...), append(single, single2...)
+		if _, err := timedSetUps(&setups, &stamps); err != nil {
+			return err
+		}
 		r.got["peak_rss_mb"] = peakRSSMB()
+		r.got["setup_s"] = median(setups)
+		r.check(checkRepeat(r.dir, r.prov, stamps))
 	} else {
 		// Half the window on untraced engines, half on engines that
 		// profile every instruction; the images/s difference is the
 		// tracing overhead.
 		fullU, singleU := e.alternate(nil, xs, window/2)
-		p, err := setUp(r.tr, spec, true)
+		p, err := setUp(r.tr, true)
 		if err != nil {
 			return err
 		}
 		warm = append(warm, timedRun(nil, p.n, xs, 0), timedRun(nil, p.one, xs[:1], 0))
 		full, single = p.alternate(r.tr, xs, window/2)
-		r.got["trace.overhead_share"] = 1 - imagesPerSecond(full, spec.Batch)/imagesPerSecond(fullU, spec.Batch)
+		r.got["trace.overhead_share"] = 1 - imagesPerSecond(full, batchN)/imagesPerSecond(fullU, batchN)
 		r.got["exec.ns_per_image.b1"] = median(wallsMS(singleU)) * 1e6
-		r.got[fmt.Sprintf("exec.ns_per_image.b%d", spec.Batch)] = median(wallsMS(fullU)) * 1e6 / float64(spec.Batch)
+		r.got[fmt.Sprintf("exec.ns_per_image.b%d", batchN)] = median(wallsMS(fullU)) * 1e6 / float64(batchN)
 		full, single = append(fullU, full...), append(singleU, single...)
 
 		peak := packedGFLOPS(r.tr, 5)
@@ -181,11 +204,11 @@ func runBatch(r *run, spec batchSpec) error {
 		}
 	}
 
-	good, err := checkBatches(r, spec, e, xs, warm, full, single)
+	good, err := checkBatches(r, e, xs, warm, full, single)
 	if err != nil {
 		return err
 	}
-	ips := imagesPerSecond(full, spec.Batch)
+	ips := imagesPerSecond(full, batchN)
 	r.got["images_per_s"] = ips
 	r.got["capacity_rps"] = ips
 	r.got["goodput_rps"] = ips * float64(good) / float64(len(full))
@@ -196,7 +219,7 @@ func runBatch(r *run, spec batchSpec) error {
 	}
 	r.got["latency_p50_ms"] = quantileMS(walls, 0.50)
 	r.note("%d batches of %d and %d single images; latency over %d batch samples: p50 %.1f ms, p90 %.1f ms",
-		len(full), spec.Batch, len(single), len(walls), r.got["latency_p50_ms"], quantileMS(walls, 0.90))
+		len(full), batchN, len(single), len(walls), r.got["latency_p50_ms"], quantileMS(walls, 0.90))
 	return nil
 }
 
@@ -204,9 +227,9 @@ func runBatch(r *run, spec batchSpec) error {
 // seeded checked images) or the first full batch's output for the same
 // image, counts every call toward attempted and failed, and returns
 // how many timed full batches were correct and within the limit.
-func checkBatches(r *run, spec batchSpec, e *engines, xs []*tensor.Tensor, warm, full, single []batchRun) (int, error) {
+func checkBatches(r *run, e *engines, xs []*tensor.Tensor, warm, full, single []batchRun) (int, error) {
 	want := make([]*tensor.Tensor, len(xs))
-	for _, img := range rngFor(r.seed, "checked").Perm(len(xs))[:spec.Checked] {
+	for _, img := range rngFor(r.seed, "checked").Perm(len(xs))[:batchChecked] {
 		var err error
 		r.tr.timed("exec.Reference", 0, func() { want[img], err = exec.Reference(e.net, xs[img], e.w) })
 		if err != nil {
@@ -241,7 +264,7 @@ func checkBatches(r *run, spec batchSpec, e *engines, xs []*tensor.Tensor, warm,
 	}
 	good := 0
 	for i := range full {
-		if count(&full[i]) && full[i].Wall <= spec.Limit {
+		if count(&full[i]) && full[i].Wall <= batchLimit {
 			good++
 		}
 	}

@@ -111,7 +111,6 @@ type outcome struct {
 	Done   time.Time
 	Status int
 	Err    error
-	Body   []byte
 	// Wrong is set by the output check.
 	Wrong bool
 }
@@ -167,6 +166,12 @@ type client struct {
 	// phase is the enclosing phase span, set between phases.
 	tr    *tracer
 	phase int64
+	// want holds the expected output of each image and shape the
+	// model's output shape. Every 200 reply is checked against them as
+	// it arrives and only the verdict is kept, so the generator's
+	// memory does not grow with the replies it has read.
+	want  map[int][]float32
+	shape [3]int
 }
 
 func newClient(addr, model string, tr *tracer) *client {
@@ -181,19 +186,27 @@ func newClient(addr, model string, tr *tracer) *client {
 
 func (c *client) close() { c.hc.CloseIdleConnections() }
 
-// do sends one request and fills the outcome's reply fields.
+// do sends one request, fills the outcome's reply fields and checks a
+// 200 reply's output once the reply is timed.
 func (c *client) do(ctx context.Context, o *outcome, body []byte) {
 	o.ID = c.ids.Add(1)
 	span := c.tr.newID()
 	o.Sent = time.Now()
-	defer func() {
-		o.Done = time.Now()
-		c.tr.add(span, "client.Request", c.phase, o.ID, o.Sent, o.Done)
-	}()
+	reply := c.send(ctx, o, span, body)
+	o.Done = time.Now()
+	c.tr.add(span, "client.Request", c.phase, o.ID, o.Sent, o.Done)
+	if o.Err == nil && o.Status == http.StatusOK {
+		o.Wrong = !rightOutput(reply, c.want[o.Image], c.shape)
+	}
+}
+
+// send posts body, sets the outcome's status or error, and returns the
+// reply read in full.
+func (c *client) send(ctx context.Context, o *outcome, span int64, body []byte) []byte {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url, bytes.NewReader(body))
 	if err != nil {
 		o.Err = err
-		return
+		return nil
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(requestHeader, strconv.FormatInt(o.ID, 10))
@@ -203,14 +216,18 @@ func (c *client) do(ctx context.Context, o *outcome, body []byte) {
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		o.Err = err
-		return
+		return nil
 	}
 	defer resp.Body.Close()
-	o.Body, o.Err = io.ReadAll(resp.Body)
+	reply, err := io.ReadAll(resp.Body)
 	o.Status = resp.StatusCode
-	if o.Err == nil && resp.ProtoMajor != 2 {
+	switch {
+	case err != nil:
+		o.Err = err
+	case resp.ProtoMajor != 2:
 		o.Err = fmt.Errorf("perfbench: reply over %s, want HTTP/2", resp.Proto)
 	}
+	return reply
 }
 
 // openLoop sends one request per schedule entry at its due time,
@@ -263,30 +280,17 @@ func (c *client) closedLoop(ctx context.Context, in *inputSet, workers int, wind
 	return outs, end
 }
 
-// checkOutputs decodes every 200 reply and marks it Wrong when its
-// output disagrees, beyond the repository's 1e-4 relative tolerance,
-// with the expected output for its image. want holds the exec.Reference
-// outputs of the checked images; an unchecked image's first reply
-// becomes its expected output, so every later reply must agree with it.
-func checkOutputs(outs []outcome, want map[int][]float32, shape [3]int) {
-	for i := range outs {
-		o := &outs[i]
-		if o.Err != nil || o.Status != http.StatusOK {
-			continue
-		}
-		var resp serve.InferResponse
-		err := json.Unmarshal(o.Body, &resp)
-		if err != nil || resp.Shape != shape || len(resp.Output) != shape[0]*shape[1]*shape[2] {
-			o.Wrong = true
-			continue
-		}
-		w, ok := want[o.Image]
-		if !ok {
-			want[o.Image] = resp.Output
-			continue
-		}
-		o.Wrong = !tensor.WithinRel(chw(resp.Output, shape), chw(w, shape), 1e-4)
+// rightOutput reports whether a 200 reply decodes to an output of the
+// given shape that agrees with want within the repository's 1e-4
+// relative tolerance. A reply for an image without an expected output
+// (want nil) fails the length test, so it never agrees.
+func rightOutput(reply []byte, want []float32, shape [3]int) bool {
+	var resp serve.InferResponse
+	if err := json.Unmarshal(reply, &resp); err != nil {
+		return false
 	}
+	return resp.Shape == shape && len(resp.Output) == len(want) &&
+		tensor.WithinRel(chw(resp.Output, shape), chw(want, shape), 1e-4)
 }
 
 func chw(data []float32, shape [3]int) *tensor.Tensor {

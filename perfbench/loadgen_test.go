@@ -82,8 +82,10 @@ func TestInputsReproduce(t *testing.T) {
 
 // TestFailureAccounting drives a fake server that answers each request
 // by its id: a 429, a 500, a reset stream (a transport error), a wrong
-// output, an output of the wrong length and a correct one. Each of the
-// first five counts once as failed and never toward goodput.
+// output, an output of the wrong length, a correct one, and a
+// correct-looking one for an image with no expected output. All but
+// the sixth count once as failed, fail the run and never count toward
+// goodput.
 func TestFailureAccounting(t *testing.T) {
 	right, wrong := []float32{1, 2, 3}, []float32{1, 2, 4}
 	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -111,7 +113,9 @@ func TestFailureAccounting(t *testing.T) {
 
 	c := newClient(ts.Listener.Addr().String(), "m", nil)
 	defer c.close()
-	outs := make([]outcome, 6)
+	c.want, c.shape = map[int][]float32{0: right}, [3]int{3, 1, 1}
+	outs := make([]outcome, 7)
+	outs[6].Image = 1
 	for i := range outs {
 		outs[i].Sched = time.Now()
 		c.do(context.Background(), &outs[i], []byte(`{"data":[0]}`))
@@ -119,23 +123,27 @@ func TestFailureAccounting(t *testing.T) {
 	if outs[2].Err == nil {
 		t.Fatal("aborted stream: want a transport error")
 	}
-	checkOutputs(outs, map[int][]float32{0: right}, [3]int{3, 1, 1})
-	for i, want := range []bool{true, true, true, true, true, false} {
+	for i, want := range []bool{true, true, true, true, true, false, true} {
 		if outs[i].Failed() != want {
 			t.Errorf("request %d: Failed() = %v, want %v (status %d, err %v, wrong %v)",
 				i+1, outs[i].Failed(), want, outs[i].Status, outs[i].Err, outs[i].Wrong)
 		}
 	}
+	r := &run{got: map[string]float64{}}
+	r.countOutcomes(outs)
+	if r.attempted != 7 || r.failed != 6 || len(r.problems) != 6 {
+		t.Fatalf("run counted %d attempted, %d failed, %d failed checks; want 7, 6, 6", r.attempted, r.failed, len(r.problems))
+	}
 	got := tallyOutcomes(outs, time.Hour)
-	if want := (tally{Attempted: 6, Failed: 5, Good: 1}); got != want {
+	if want := (tally{Attempted: 7, Failed: 6, Good: 1}); got != want {
 		t.Fatalf("tally %+v, want %+v", got, want)
 	}
 	// The one correct reply misses a limit it cannot meet: it is
 	// neither good nor failed.
-	if got := tallyOutcomes(outs, -time.Second); got != (tally{Attempted: 6, Failed: 5}) {
+	if got := tallyOutcomes(outs, -time.Second); got != (tally{Attempted: 7, Failed: 6}) {
 		t.Fatalf("tally under an unmeetable limit %+v", got)
 	}
-	if n := len(servedLatencies(outs)); n != 3 {
-		t.Fatalf("%d served latencies, want 3 (the three 200 replies)", n)
+	if n := len(servedLatencies(outs)); n != 4 {
+		t.Fatalf("%d served latencies, want 4 (the four 200 replies)", n)
 	}
 }

@@ -50,9 +50,9 @@ func (r *run) note(format string, args ...any) {
 	fmt.Printf("# "+format+"\n", args...)
 }
 
-// windows splits the measured time between a serving workload's
+// windows splits the measured time between the serving workload's
 // open-loop and closed-loop phases.
-func (r *run) windows(openShare float64) (open, closed time.Duration) {
+func (r *run) windows() (open, closed time.Duration) {
 	open = time.Duration(openShare * float64(r.seconds))
 	return open, r.seconds - open
 }
@@ -60,27 +60,12 @@ func (r *run) windows(openShare float64) (open, closed time.Duration) {
 // workloads maps each workload name to its runner. README.md records
 // why each was chosen and which metrics it is expected to move.
 var workloads = map[string]func(*run) error{
-	"serve-smallnet": func(r *run) error {
-		return runServe(r, serveSpec{
-			Model: "smallnet", Rate: 150, Limit: 50 * time.Millisecond,
-			Images: 64, Checked: 64, OpenShare: 0.65, SetupReps: 21, Batch1Reps: 1001,
-		})
-	},
-	"serve-resnet18": func(r *run) error {
-		return runServe(r, serveSpec{
-			Model: "resnet-18", Calibrate: true, Rate: 3, Limit: 2 * time.Second,
-			Images: 4, Checked: 1, OpenShare: 0.65, SetupReps: 1, Batch1Reps: 5,
-		})
-	},
-	"batch-googlenet": func(r *run) error {
-		return runBatch(r, batchSpec{
-			Model: "googlenet", Batch: 8, Limit: 5 * time.Second, Checked: 1, SetupReps: 15,
-		})
-	},
+	"serve-smallnet":  runServe,
+	"batch-googlenet": runBatch,
 }
 
 func main() {
-	workload := flag.String("workload", "", "workload to run: serve-smallnet, serve-resnet18 or batch-googlenet")
+	workload := flag.String("workload", "", "workload to run: serve-smallnet or batch-googlenet")
 	seed := flag.Int64("seed", 1, "seed the workload's inputs and arrival schedule are drawn from")
 	seconds := flag.Int("seconds", 10, "measured seconds per run")
 	trace := flag.Int("trace", 0, "0: print end-to-end metrics; 1: traced run, print per-layer metrics")

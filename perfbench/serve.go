@@ -20,47 +20,55 @@ import (
 	"pbqpdnn/internal/tensor"
 )
 
-// serveSpec is one serving workload: a model behind the stock
-// serve.NewServer handler on loopback, driven by an open-loop Poisson
-// phase and then a closed-loop phase.
-type serveSpec struct {
-	Model string
-	// Calibrate selects plans against a cost table measured at start
-	// (the registry's calibrate-on-start); otherwise plans come from
-	// the analytic Intel Haswell model, the server's default.
-	Calibrate bool
-	// Rate is the open-loop offered load (requests/s); Limit the
-	// latency limit a reply must meet to count toward goodput.
-	Rate  float64
-	Limit time.Duration
-	// Images is the number of distinct seeded inputs; Checked of them
-	// are compared against exec.Reference.
-	Images, Checked int
-	// OpenShare is the share of --seconds spent in the open-loop phase;
+// The serving workload: smallnet behind the stock serve.NewServer
+// handler on loopback, with the analytic Intel Haswell plans the server
+// selects by default, driven by an open-loop Poisson phase and then a
+// closed-loop phase. README.md gives the parent measurements the rate
+// and the latency limit were taken from.
+const (
+	serveModel = "smallnet"
+	// openRate is the open-loop offered load (requests/s); latencyLimit
+	// the latency a reply must meet to count toward goodput.
+	openRate     = 150.0
+	latencyLimit = 20 * time.Millisecond
+	// serveImages is the number of distinct seeded inputs, every one
+	// compared against exec.Reference.
+	serveImages = 64
+	// openShare is the share of --seconds spent in the open-loop phase;
 	// the closed-loop phase takes the rest.
-	OpenShare float64
-	// SetupReps is how many times an untraced run builds the registry
-	// (setup_s is the median); Batch1Reps how many bucket-1 RunBatch
-	// calls batch1_ms takes the median of.
-	SetupReps, Batch1Reps int
-}
+	openShare = 0.65
+	// At each idle point (see idleSamples) an untraced run builds the
+	// registry setupsPerPoint times and calls the bucket-1 engine
+	// batch1Reps times; setup_s and batch1_ms are the medians.
+	setupsPerPoint = 7
+	batch1Reps     = 1001
+)
 
 // maxBatch is cmd/dnnserver's -max-batch default; the closed-loop
 // phase keeps this many requests outstanding.
 const maxBatch = 8
 
+// calibrateReps and calibrateTopK are cmd/dnnserver's -calibrate-reps
+// and -calibrate-top defaults, the arguments a calibrate-on-start
+// registry measures with; a traced run times that calibration.
+const (
+	calibrateReps = 1
+	calibrateTopK = 4
+)
+
 // closedDraws is how many seeded image choices a closed-loop phase
 // cycles through.
 const closedDraws = 1 << 12
 
+// analyticProfiler names the cost source every workload's plans are
+// selected against.
+var analyticProfiler = "analytic-" + cost.IntelHaswell.Name
+
 // registryConfig is the configuration cmd/dnnserver's defaults build.
-func registryConfig(spec serveSpec, profileSample int) serve.Config {
+func registryConfig(profileSample int) serve.Config {
 	return serve.Config{
 		Threads:       runtime.GOMAXPROCS(0),
 		ProfileSample: profileSample,
-		Calibrate:     spec.Calibrate,
-		CalibrateReps: 1,
-		CalibrateTopK: 4,
 		Batch:         serve.BatchOptions{MaxBatch: maxBatch, MaxWait: 2 * time.Millisecond},
 	}
 }
@@ -104,6 +112,7 @@ func startSession(reg *serve.Registry, model string, tr *tracer) (*session, erro
 		s.srv.Serve(ln) //nolint:errcheck // returns ErrServerClosed once stop closes it
 	}()
 	s.c = newClient(ln.Addr().String(), model, tr)
+	s.c.shape = [3]int{m.OutC, m.OutH, m.OutW}
 	return s, nil
 }
 
@@ -201,19 +210,11 @@ func phaseDelta(before, after map[string]obs.HistogramSnapshot) map[string]obs.H
 // requests into layers: transport (client time not spent in the
 // handler), the handler's self time (decode, validate, flatten,
 // encode: handler time not in any batcher phase), and the four batcher
-// phases.
+// phases. The first two are defined as differences, so the layers add
+// up to ClientMS by construction.
 type breakdown struct {
 	ClientMS, TransportMS, HandlerMS, HandlerSelfMS float64
 	PhaseMS                                         map[string]float64
-}
-
-// Sum is the layers' total, which should match ClientMS.
-func (b breakdown) Sum() float64 {
-	s := b.TransportMS + b.HandlerSelfMS
-	for _, v := range b.PhaseMS {
-		s += v
-	}
-	return s
 }
 
 // accountLayers joins a phase's served outcomes with their handler
@@ -258,67 +259,57 @@ func accountLayers(outs []outcome, spans []Span, phases map[string]obs.Histogram
 	return b, nil
 }
 
-// runServe runs one serving workload. An untraced run measures the
+// runServe runs the serving workload. An untraced run measures the
 // end-to-end metrics; a traced run (r.tr set) the per-layer ones.
-func runServe(r *run, spec serveSpec) error {
+func runServe(r *run) error {
 	if r.tr != nil {
-		return runServeTraced(r, spec)
+		return runServeTraced(r)
 	}
-	var reg *serve.Registry
-	var setups []float64
-	var stamps [][]PlanStamp
-	for range spec.SetupReps {
-		if reg != nil {
-			reg.Close()
-		}
-		start := time.Now()
-		var err error
-		reg, err = serve.NewRegistry([]string{spec.Model}, registryConfig(spec, 16))
-		if err != nil {
-			return err
-		}
-		setups = append(setups, time.Since(start).Seconds())
-		m, _ := reg.Get(spec.Model)
-		stamps = append(stamps, modelStamps(m))
+	reg, err := serve.NewRegistry([]string{serveModel}, registryConfig(16))
+	if err != nil {
+		return err
 	}
-	r.got["setup_s"] = median(setups)
-	r.prov.Plans = stamps[0]
-	r.prov.Profiler = profilerName(spec.Calibrate)
-	if !spec.Calibrate {
-		r.check(checkRepeat(r.dir, r.prov, stamps))
-	}
-
-	s, err := startSession(reg, spec.Model, nil)
+	s, err := startSession(reg, serveModel, nil)
 	if err != nil {
 		reg.Close()
 		return err
 	}
 	defer s.stop()
-	in, err := makeInputs(r.seed, spec.Images, s.m.InC, s.m.InH, s.m.InW)
+	in, err := makeInputs(r.seed, serveImages, s.m.InC, s.m.InH, s.m.InW)
 	if err != nil {
+		return err
+	}
+	if s.c.want, err = references(nil, s.m, in); err != nil {
 		return err
 	}
 	ctx := context.Background()
 	warm := s.warm(ctx, in)
+	var idle idleSamples
+	if err := idle.take(s.m.Buckets[0].Engine, in); err != nil {
+		return err
+	}
 
-	openWin, closedWin := r.windows(spec.OpenShare)
-	sched := poissonSchedule(r.seed, spec.Rate, openWin)
+	openWin, closedWin := r.windows()
+	sched := poissonSchedule(r.seed, openRate, openWin)
 	openStart := time.Now()
-	open := s.c.openLoop(ctx, in, sched, imageOrder(r.seed, "open-images", len(sched), spec.Images))
+	open := s.c.openLoop(ctx, in, sched, imageOrder(r.seed, "open-images", len(sched), serveImages))
 	openElapsed := time.Since(openStart)
-	closed, end := s.c.closedLoop(ctx, in, maxBatch, closedWin, imageOrder(r.seed, "closed-images", closedDraws, spec.Images))
+	if err := idle.take(s.m.Buckets[0].Engine, in); err != nil {
+		return err
+	}
+	closed, end := s.c.closedLoop(ctx, in, maxBatch, closedWin, imageOrder(r.seed, "closed-images", closedDraws, serveImages))
+	if err := idle.take(s.m.Buckets[0].Engine, in); err != nil {
+		return err
+	}
 	r.got["peak_rss_mb"] = peakRSSMB()
+	r.got["setup_s"] = median(idle.setups)
+	r.got["batch1_ms"] = median(idle.batch1)
+	r.prov.Plans = idle.stamps[0]
+	r.prov.Profiler = analyticProfiler
+	r.check(checkRepeat(r.dir, r.prov, idle.stamps))
 
-	b1, err := batch1MS(s.m.Buckets[0].Engine, in, spec.Batch1Reps)
-	if err != nil {
-		return err
-	}
-	r.got["batch1_ms"] = b1
-
-	if err := s.checkAll(r, spec, in, warm, open, closed); err != nil {
-		return err
-	}
-	ot := tallyOutcomes(open, spec.Limit)
+	r.countOutcomes(warm, open, closed)
+	ot := tallyOutcomes(open, latencyLimit)
 	lats := servedLatencies(open)
 	r.got["latency_p50_ms"] = quantileMS(lats, 0.50)
 	r.got["goodput_rps"] = float64(ot.Good) / openElapsed.Seconds()
@@ -326,82 +317,83 @@ func runServe(r *run, spec serveSpec) error {
 	r.got["capacity_rps"] = capacity
 	r.got["images_per_s"] = capacity
 	r.note("open loop: %d requests at %.0f/s, %d served, %d good within %v; latency over %d samples: p50 %.3f ms, p90 %.3f ms, p99 %.3f ms (p90 and p99 are not gated, see README)",
-		ot.Attempted, spec.Rate, len(lats), ot.Good, spec.Limit, len(lats),
+		ot.Attempted, openRate, len(lats), ot.Good, latencyLimit, len(lats),
 		r.got["latency_p50_ms"], quantileMS(lats, 0.90), quantileMS(lats, 0.99))
 	return nil
 }
 
-// runServeTraced is the traced run of a serving workload. It measures
+// runServeTraced is the traced run of the serving workload. It measures
 // the headline metric (capacity_rps) twice: once on an untraced
 // registry, once on a registry profiling every batch behind the
 // span-recording handler; the difference is trace.overhead_share.
-func runServeTraced(r *run, spec serveSpec) error {
-	net, err := models.Build(spec.Model)
+func runServeTraced(r *run) error {
+	net, err := models.Build(serveModel)
 	if err != nil {
 		return err
 	}
-	cfg := registryConfig(spec, 16)
-	// The calibration a calibrate-on-start registry runs, made here so
-	// it is timed on its own. A calibrating workload's registries both
-	// select against this table; the others only time it.
-	var prof cost.Profiler = cost.NewModel(cost.IntelHaswell)
+	cfg := registryConfig(16)
+	// The calibration a calibrate-on-start registry would run, timed on
+	// its own; the registries below select against the analytic model.
+	prof := cost.NewModel(cost.IntelHaswell)
 	tab := cost.NewTable("calibrated-"+runtime.GOOS+"-"+runtime.GOARCH, cfg.Threads)
 	d := r.tr.timed("cost.Table.AddNetTopK", 0, func() {
-		tab.AddNetTopK(net, conv.Library(), prof, &cost.Measure{Reps: cfg.CalibrateReps, Threads: cfg.Threads},
-			[]int{1, 2, 4, maxBatch}, cfg.CalibrateTopK)
+		tab.AddNetTopK(net, conv.Library(), prof, &cost.Measure{Reps: calibrateReps, Threads: cfg.Threads},
+			[]int{1, 2, 4, maxBatch}, calibrateTopK)
 	})
 	r.got["cost.calibrate_s"] = d.Seconds()
-	if spec.Calibrate {
-		prof = tab
-	}
-	cfg.Calibrate = false
-	cfg.Prof = prof
-	r.prov.Profiler = profilerName(spec.Calibrate)
+	r.prov.Profiler = analyticProfiler
 	ctx := context.Background()
-	openWin, closedWin := r.windows(spec.OpenShare)
+	openWin, closedWin := r.windows()
 
 	// Untraced pass: the capacity the overhead is measured against.
 	var regU *serve.Registry
-	r.tr.timed("serve.NewRegistry", 0, func() { regU, err = serve.NewRegistry([]string{spec.Model}, cfg) })
+	r.tr.timed("serve.NewRegistry", 0, func() { regU, err = serve.NewRegistry([]string{serveModel}, cfg) })
 	if err != nil {
 		return err
 	}
-	u, err := startSession(regU, spec.Model, nil)
+	u, err := startSession(regU, serveModel, nil)
 	if err != nil {
 		regU.Close()
 		return err
 	}
-	in, err := makeInputs(r.seed, spec.Images, u.m.InC, u.m.InH, u.m.InW)
+	in, err := makeInputs(r.seed, serveImages, u.m.InC, u.m.InH, u.m.InW)
 	if err != nil {
 		u.stop()
 		return err
 	}
+	want, err := references(r.tr, u.m, in)
+	if err != nil {
+		u.stop()
+		return err
+	}
+	u.c.want = want
 	warmU := u.warm(ctx, in)
-	closedU, endU := u.c.closedLoop(ctx, in, maxBatch, closedWin, imageOrder(r.seed, "closed-images", closedDraws, spec.Images))
+	closedU, endU := u.c.closedLoop(ctx, in, maxBatch, closedWin, imageOrder(r.seed, "closed-images", closedDraws, serveImages))
 	u.stop()
 	capU := float64(completedBy(closedU, endU)) / closedWin.Seconds()
 
 	// Traced pass.
 	cfg.ProfileSample = 1
 	var reg *serve.Registry
-	r.tr.timed("serve.NewRegistry", 0, func() { reg, err = serve.NewRegistry([]string{spec.Model}, cfg) })
+	r.tr.timed("serve.NewRegistry", 0, func() { reg, err = serve.NewRegistry([]string{serveModel}, cfg) })
 	if err != nil {
 		return err
 	}
-	s, err := startSession(reg, spec.Model, r.tr)
+	s, err := startSession(reg, serveModel, r.tr)
 	if err != nil {
 		reg.Close()
 		return err
 	}
 	defer s.stop()
 	r.prov.Plans = modelStamps(s.m)
+	s.c.want = want
 	warm := s.warm(ctx, in)
 
-	sched := poissonSchedule(r.seed, spec.Rate, openWin)
+	sched := poissonSchedule(r.seed, openRate, openWin)
 	before := s.m.Metrics.PhaseSnapshots()
 	openStart := time.Now()
 	s.c.phase = r.tr.newID()
-	open := s.c.openLoop(ctx, in, sched, imageOrder(r.seed, "open-images", len(sched), spec.Images))
+	open := s.c.openLoop(ctx, in, sched, imageOrder(r.seed, "open-images", len(sched), serveImages))
 	r.tr.add(s.c.phase, "loadgen.OpenLoop", 0, 0, openStart, time.Now())
 	phases := phasesSince(s.m, before)
 	s.settle()
@@ -409,7 +401,7 @@ func runServeTraced(r *run, spec serveSpec) error {
 	statsBefore := s.m.Metrics.Snapshot()
 	closedStart := time.Now()
 	s.c.phase = r.tr.newID()
-	closed, end := s.c.closedLoop(ctx, in, maxBatch, closedWin, imageOrder(r.seed, "closed-images", closedDraws, spec.Images))
+	closed, end := s.c.closedLoop(ctx, in, maxBatch, closedWin, imageOrder(r.seed, "closed-images", closedDraws, serveImages))
 	r.tr.add(s.c.phase, "loadgen.ClosedLoop", 0, 0, closedStart, time.Now())
 	statsAfter := s.m.Metrics.Snapshot()
 	capT := float64(completedBy(closed, end)) / closedWin.Seconds()
@@ -426,8 +418,8 @@ func runServeTraced(r *run, spec serveSpec) error {
 	}
 	r.got["serve.handler_self_ms.mean"] = lay.HandlerSelfMS
 	r.got["serve.transport_ms.mean"] = lay.TransportMS
-	r.note("layer accounting: client %.3f ms = transport %.3f + handler self %.3f + phases %v (sum %.3f)",
-		lay.ClientMS, lay.TransportMS, lay.HandlerSelfMS, lay.PhaseMS, lay.Sum())
+	r.note("layer accounting: client %.3f ms = transport %.3f + handler self %.3f + phases %v",
+		lay.ClientMS, lay.TransportMS, lay.HandlerSelfMS, lay.PhaseMS)
 	if dB := statsAfter.Batches - statsBefore.Batches; dB > 0 {
 		r.got["serve.mean_batch"] = (statsAfter.MeanBatch*float64(statsAfter.Batches) - statsBefore.MeanBatch*float64(statsBefore.Batches)) / float64(dB)
 	}
@@ -450,40 +442,45 @@ func runServeTraced(r *run, spec serveSpec) error {
 	if err := planLayers(r.got, r.tr, net, prof); err != nil {
 		return err
 	}
-	return s.checkAll(r, spec, in, warmU, closedU, warm, open, closed)
+	r.countOutcomes(warmU, closedU, warm, open, closed)
+	return nil
 }
 
-// checkAll checks every reply of the run against exec.Reference (for
-// the seeded checked subset) or the image's first reply, and counts
-// each phase's requests toward attempted and failed.
-func (s *session) checkAll(r *run, spec serveSpec, in *inputSet, phases ...[]outcome) error {
-	want := map[int][]float32{}
-	for _, img := range rngFor(r.seed, "checked").Perm(spec.Images)[:spec.Checked] {
-		x := tensor.NewWith(tensor.CHW, in.C, in.H, in.W, in.Data[img])
+// references computes the exec.Reference output of every input, in
+// the wire's CHW order, outside any timed window.
+func references(tr *tracer, m *serve.Model, in *inputSet) (map[int][]float32, error) {
+	want := make(map[int][]float32, len(in.Data))
+	for img, d := range in.Data {
+		x := tensor.NewWith(tensor.CHW, in.C, in.H, in.W, d)
 		var ref *tensor.Tensor
 		var err error
-		r.tr.timed("exec.Reference", 0, func() { ref, err = exec.Reference(s.m.Net, x, s.m.Weights) })
+		tr.timed("exec.Reference", 0, func() { ref, err = exec.Reference(m.Net, x, m.Weights) })
 		if err != nil {
-			return err
+			return nil, err
 		}
 		want[img] = flatCHW(ref)
 	}
-	shape := [3]int{s.m.OutC, s.m.OutH, s.m.OutW}
+	return want, nil
+}
+
+// countOutcomes counts each phase's requests toward attempted and
+// failed. Every failed request (a transport error, any status but 200,
+// a wrong output) also fails the run.
+func (r *run) countOutcomes(phases ...[]outcome) {
 	for _, outs := range phases {
-		checkOutputs(outs, want, shape)
-		t := tallyOutcomes(outs, spec.Limit)
-		r.attempted += int64(t.Attempted)
-		r.failed += int64(t.Failed)
 		for i := range outs {
-			if outs[i].Wrong {
-				r.check(fmt.Errorf("perfbench: request %d (image %d) returned a wrong output", outs[i].ID, outs[i].Image))
+			o := &outs[i]
+			r.attempted++
+			if o.Failed() {
+				r.failed++
+				r.check(fmt.Errorf("perfbench: request %d (image %d) failed: status %d, error %v, wrong output %v",
+					o.ID, o.Image, o.Status, o.Err, o.Wrong))
 			}
 		}
 	}
 	if r.attempted > 0 {
 		r.got["failed_share"] = float64(r.failed) / float64(r.attempted)
 	}
-	return nil
 }
 
 // completedBy counts the replies answered 200 by end.
@@ -506,26 +503,42 @@ func modelStamps(m *serve.Model) []PlanStamp {
 	return out
 }
 
-func profilerName(calibrated bool) string {
-	if calibrated {
-		return "calibrate-on-start"
-	}
-	return "analytic-" + cost.IntelHaswell.Name
+// idleSamples holds what an untraced serving run measures while no
+// request is in flight: registry builds (seconds each) with their plan
+// stamps, and single-image bucket-1 RunBatch calls (ms each). They are
+// taken at three points, before, between and after the phases: the
+// host's speed wanders over seconds, so samples spread over the run
+// give steadier medians than one burst at its start.
+type idleSamples struct {
+	setups []float64
+	stamps [][]PlanStamp
+	batch1 []float64
 }
 
-// batch1MS is the median wall time of reps single-image RunBatch calls
-// on a bucket-1 engine, cycling through the inputs.
-func batch1MS(eng *exec.Engine, in *inputSet, reps int) (float64, error) {
-	times := make([]float64, 0, reps)
-	for i := range reps {
-		x := tensor.NewWith(tensor.CHW, in.C, in.H, in.W, in.Data[i%len(in.Data)])
+// take builds the registry setupsPerPoint times, closing each build,
+// then calls eng batch1Reps times on single images, cycling through
+// the inputs.
+func (x *idleSamples) take(eng *exec.Engine, in *inputSet) error {
+	for range setupsPerPoint {
 		start := time.Now()
-		if _, err := eng.RunBatch([]*tensor.Tensor{x}); err != nil {
-			return 0, err
+		reg, err := serve.NewRegistry([]string{serveModel}, registryConfig(16))
+		if err != nil {
+			return err
 		}
-		times = append(times, ms(time.Since(start)))
+		x.setups = append(x.setups, time.Since(start).Seconds())
+		m, _ := reg.Get(serveModel)
+		x.stamps = append(x.stamps, modelStamps(m))
+		reg.Close()
 	}
-	return median(times), nil
+	for i := range batch1Reps {
+		x1 := tensor.NewWith(tensor.CHW, in.C, in.H, in.W, in.Data[i%len(in.Data)])
+		start := time.Now()
+		if _, err := eng.RunBatch([]*tensor.Tensor{x1}); err != nil {
+			return err
+		}
+		x.batch1 = append(x.batch1, ms(time.Since(start)))
+	}
+	return nil
 }
 
 // flatCHW reads a tensor in logical CHW order, the wire format.
