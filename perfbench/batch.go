@@ -25,11 +25,13 @@ const (
 	// batchChecked of the batchN seeded images are compared against
 	// exec.Reference.
 	batchChecked = 1
-	// An untraced run sets up batchSetUpsPerPoint times before, halfway
-	// through and after its window (setup_s is the median): the host's
-	// speed wanders over seconds, so set-ups spread over the run give a
-	// steadier median than one burst at its start.
-	batchSetUpsPerPoint = 5
+	// An untraced run splits its window into batchSegments segments and
+	// sets up batchSetUpsPerPoint times before each segment and after
+	// the last (setup_s is the median): the host's speed wanders over
+	// seconds, so set-ups spread over the run give a steadier median
+	// than one burst at its start.
+	batchSegments       = 4
+	batchSetUpsPerPoint = 3
 )
 
 // engines are one set-up's bucket-1 and bucket-N engines.
@@ -116,6 +118,8 @@ func timedRun(tr *tracer, eng *exec.Engine, xs []*tensor.Tensor, first int) batc
 
 // timedSetUps sets up batchSetUpsPerPoint times, appending each
 // set-up's wall time (s) and plan stamps, and returns the last set-up.
+// It ends with a collection, so the timed calls that follow start from
+// the same heap rather than from the garbage the set-ups left.
 func timedSetUps(setups *[]float64, stamps *[][]PlanStamp) (*engines, error) {
 	var e *engines
 	for range batchSetUpsPerPoint {
@@ -127,6 +131,7 @@ func timedSetUps(setups *[]float64, stamps *[][]PlanStamp) (*engines, error) {
 		*setups = append(*setups, time.Since(start).Seconds())
 		*stamps = append(*stamps, e.stamps())
 	}
+	runtime.GC()
 	return e, nil
 }
 
@@ -161,12 +166,21 @@ func runBatch(r *run) error {
 	window := r.seconds
 	var full, single []batchRun
 	if r.tr == nil {
-		full, single = e.alternate(nil, xs, window/2)
-		if _, err := timedSetUps(&setups, &stamps); err != nil {
-			return err
+		// A segment ends after the call that crosses its deadline, so
+		// each segment gets an equal share of what the earlier ones
+		// left: the calls add up to the window plus one overshoot.
+		var spent time.Duration
+		for k := range batchSegments {
+			if k > 0 {
+				if _, err := timedSetUps(&setups, &stamps); err != nil {
+					return err
+				}
+			}
+			start := time.Now()
+			f, s := e.alternate(nil, xs, (window-spent)/time.Duration(batchSegments-k))
+			spent += time.Since(start)
+			full, single = append(full, f...), append(single, s...)
 		}
-		full2, single2 := e.alternate(nil, xs, window-window/2)
-		full, single = append(full, full2...), append(single, single2...)
 		if _, err := timedSetUps(&setups, &stamps); err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -145,5 +146,29 @@ func TestFailureAccounting(t *testing.T) {
 	}
 	if n := len(servedLatencies(outs)); n != 4 {
 		t.Fatalf("%d served latencies, want 4 (the four 200 replies)", n)
+	}
+}
+
+// TestWindowRates checks the capacity samples: only replies answered
+// 200 inside the phase count, each in the window it completed in, and
+// a partial window at the phase's end is dropped.
+func TestWindowRates(t *testing.T) {
+	end := time.Now()
+	window := 2*capacityWindow + capacityWindow/2
+	start := end.Add(-window)
+	at := func(d time.Duration) outcome { return outcome{Status: http.StatusOK, Done: start.Add(d)} }
+	outs := []outcome{
+		at(capacityWindow / 2), at(capacityWindow / 3), // first window
+		at(capacityWindow + 1),        // second window
+		at(-time.Millisecond),         // before the phase
+		at(2*capacityWindow + 1),      // the partial window
+		at(window + time.Millisecond), // after the phase
+		{Status: http.StatusTooManyRequests, Done: start.Add(1)},
+		{Err: errors.New("reset"), Done: start.Add(1)},
+	}
+	got := windowRates(outs, end, window)
+	per := 1 / capacityWindow.Seconds()
+	if want := []float64{2 * per, per}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("windowRates = %v, want %v", got, want)
 	}
 }

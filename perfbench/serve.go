@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -22,7 +23,7 @@ import (
 
 // The serving workload: smallnet behind the stock serve.NewServer
 // handler on loopback, with the analytic Intel Haswell plans the server
-// selects by default, driven by an open-loop Poisson phase and then a
+// selects by default, driven by an open-loop Poisson phase and a
 // closed-loop phase. README.md gives the parent measurements the rate
 // and the latency limit were taken from.
 const (
@@ -37,11 +38,16 @@ const (
 	// openShare is the share of --seconds spent in the open-loop phase;
 	// the closed-loop phase takes the rest.
 	openShare = 0.65
+	// An untraced run splits both phases into serveRounds rounds, each
+	// an open-loop slice followed by a closed-loop slice, so each
+	// phase's samples span the whole run and see the same host drift
+	// instead of one contiguous stretch of it.
+	serveRounds = 6
 	// At each idle point (see idleSamples) an untraced run builds the
 	// registry setupsPerPoint times and calls the bucket-1 engine
 	// batch1Reps times; setup_s and batch1_ms are the medians.
-	setupsPerPoint = 7
-	batch1Reps     = 1001
+	setupsPerPoint = 3
+	batch1Reps     = 429
 )
 
 // maxBatch is cmd/dnnserver's -max-batch default; the closed-loop
@@ -284,21 +290,41 @@ func runServe(r *run) error {
 	}
 	ctx := context.Background()
 	warm := s.warm(ctx, in)
+	eng := s.m.Buckets[0].Engine
 	var idle idleSamples
-	if err := idle.take(s.m.Buckets[0].Engine, in); err != nil {
-		return err
-	}
 
+	// One Poisson schedule over the whole open-loop time, cut into
+	// serveRounds slices; each slice is sent from its own round's start.
 	openWin, closedWin := r.windows()
+	openSlice, closedSlice := openWin/serveRounds, closedWin/serveRounds
 	sched := poissonSchedule(r.seed, openRate, openWin)
-	openStart := time.Now()
-	open := s.c.openLoop(ctx, in, sched, imageOrder(r.seed, "open-images", len(sched), serveImages))
-	openElapsed := time.Since(openStart)
-	if err := idle.take(s.m.Buckets[0].Engine, in); err != nil {
-		return err
+	images := imageOrder(r.seed, "open-images", len(sched), serveImages)
+	var open, closed []outcome
+	var openElapsed time.Duration
+	var rates []float64
+	for k := range serveRounds {
+		if err := idle.take(eng, in); err != nil {
+			return err
+		}
+		lo := sort.Search(len(sched), func(i int) bool { return sched[i] >= time.Duration(k)*openSlice })
+		hi := sort.Search(len(sched), func(i int) bool { return sched[i] >= time.Duration(k+1)*openSlice })
+		slice := make([]time.Duration, hi-lo)
+		for i, at := range sched[lo:hi] {
+			slice[i] = at - time.Duration(k)*openSlice
+		}
+		start := time.Now()
+		round := s.c.openLoop(ctx, in, slice, images[lo:hi])
+		openElapsed += time.Since(start)
+		open = append(open, round...)
+		outs, end := s.c.closedLoop(ctx, in, maxBatch, closedSlice,
+			imageOrder(r.seed, fmt.Sprintf("closed-images/%d", k), closedDraws, serveImages))
+		rr := windowRates(outs, end, closedSlice)
+		rates = append(rates, rr...)
+		closed = append(closed, outs...)
+		r.note("round %d: open-loop p50 %.3f ms over %d requests, closed-loop capacity %.0f rps (median of %d windows)",
+			k, quantileMS(servedLatencies(round), 0.5), len(round), median(rr), len(rr))
 	}
-	closed, end := s.c.closedLoop(ctx, in, maxBatch, closedWin, imageOrder(r.seed, "closed-images", closedDraws, serveImages))
-	if err := idle.take(s.m.Buckets[0].Engine, in); err != nil {
+	if err := idle.take(eng, in); err != nil {
 		return err
 	}
 	r.got["peak_rss_mb"] = peakRSSMB()
@@ -313,7 +339,7 @@ func runServe(r *run) error {
 	lats := servedLatencies(open)
 	r.got["latency_p50_ms"] = quantileMS(lats, 0.50)
 	r.got["goodput_rps"] = float64(ot.Good) / openElapsed.Seconds()
-	capacity := float64(completedBy(closed, end)) / closedWin.Seconds()
+	capacity := median(rates)
 	r.got["capacity_rps"] = capacity
 	r.got["images_per_s"] = capacity
 	r.note("open loop: %d requests at %.0f/s, %d served, %d good within %v; latency over %d samples: p50 %.3f ms, p90 %.3f ms, p99 %.3f ms (p90 and p99 are not gated, see README)",
@@ -370,7 +396,7 @@ func runServeTraced(r *run) error {
 	warmU := u.warm(ctx, in)
 	closedU, endU := u.c.closedLoop(ctx, in, maxBatch, closedWin, imageOrder(r.seed, "closed-images", closedDraws, serveImages))
 	u.stop()
-	capU := float64(completedBy(closedU, endU)) / closedWin.Seconds()
+	capU := median(windowRates(closedU, endU, closedWin))
 
 	// Traced pass.
 	cfg.ProfileSample = 1
@@ -404,7 +430,7 @@ func runServeTraced(r *run) error {
 	closed, end := s.c.closedLoop(ctx, in, maxBatch, closedWin, imageOrder(r.seed, "closed-images", closedDraws, serveImages))
 	r.tr.add(s.c.phase, "loadgen.ClosedLoop", 0, 0, closedStart, time.Now())
 	statsAfter := s.m.Metrics.Snapshot()
-	capT := float64(completedBy(closed, end)) / closedWin.Seconds()
+	capT := median(windowRates(closed, end, closedWin))
 	if capU > 0 {
 		r.got["trace.overhead_share"] = 1 - capT/capU
 	}
@@ -483,15 +509,33 @@ func (r *run) countOutcomes(phases ...[]outcome) {
 	}
 }
 
-// completedBy counts the replies answered 200 by end.
-func completedBy(outs []outcome, end time.Time) int {
-	n := 0
+// capacityWindow is the slice of a closed-loop phase one capacity
+// sample counts replies over. capacity_rps is the median of these
+// samples, so a host stall of a second costs a few samples instead of
+// a share of the phase's mean.
+const capacityWindow = 250 * time.Millisecond
+
+// windowRates splits the closed-loop phase [end-window, end) into
+// consecutive capacityWindow slices and returns, per whole slice, the
+// replies answered 200 within it per second. Replies after end are not
+// counted.
+func windowRates(outs []outcome, end time.Time, window time.Duration) []float64 {
+	counts := make([]int, window/capacityWindow)
+	start := end.Add(-window)
 	for i := range outs {
-		if outs[i].Err == nil && outs[i].Status == http.StatusOK && !outs[i].Done.After(end) {
-			n++
+		o := &outs[i]
+		if o.Err != nil || o.Status != http.StatusOK || o.Done.Before(start) {
+			continue
+		}
+		if k := int(o.Done.Sub(start) / capacityWindow); k < len(counts) {
+			counts[k]++
 		}
 	}
-	return n
+	rates := make([]float64, len(counts))
+	for k, n := range counts {
+		rates[k] = float64(n) / capacityWindow.Seconds()
+	}
+	return rates
 }
 
 // modelStamps fingerprints every bucket of a served model.
@@ -506,9 +550,9 @@ func modelStamps(m *serve.Model) []PlanStamp {
 // idleSamples holds what an untraced serving run measures while no
 // request is in flight: registry builds (seconds each) with their plan
 // stamps, and single-image bucket-1 RunBatch calls (ms each). They are
-// taken at three points, before, between and after the phases: the
-// host's speed wanders over seconds, so samples spread over the run
-// give steadier medians than one burst at its start.
+// taken before each round and after the last: the host's speed wanders
+// over seconds, so samples spread over the run give steadier medians
+// than one burst at its start.
 type idleSamples struct {
 	setups []float64
 	stamps [][]PlanStamp
@@ -517,7 +561,8 @@ type idleSamples struct {
 
 // take builds the registry setupsPerPoint times, closing each build,
 // then calls eng batch1Reps times on single images, cycling through
-// the inputs.
+// the inputs. It ends with a collection, so every round starts from
+// the same heap rather than from whatever garbage the builds left.
 func (x *idleSamples) take(eng *exec.Engine, in *inputSet) error {
 	for range setupsPerPoint {
 		start := time.Now()
@@ -538,6 +583,7 @@ func (x *idleSamples) take(eng *exec.Engine, in *inputSet) error {
 		}
 		x.batch1 = append(x.batch1, ms(time.Since(start)))
 	}
+	runtime.GC()
 	return nil
 }
 
