@@ -5,7 +5,6 @@ import (
 
 	"pbqpdnn/internal/gemm"
 	"pbqpdnn/internal/tensor"
-	"pbqpdnn/internal/winograd"
 )
 
 // This file holds the minibatch entry points of the primitive library.
@@ -21,10 +20,12 @@ import (
 //     patch matrix, so the whole layer is exactly one GEMM call);
 //   - im2col: images lie side by side as column blocks of one wide
 //     patch matrix, one GEMM, then a per-image writeback;
-//   - wino2d: the kernel transform is computed once for the batch and
-//     the pointwise stage becomes one M×(C)·(C×tiles·N) GEMM per
-//     Winograd-domain point — the transformed kernel is amortized over
-//     every tile of every image.
+//   - wino2d: the kernel transform is one GEMM per call; the batch's
+//     tiles then pass a chunk at a time through a gather, GEMMs for
+//     the input transform, the pointwise stage (one tiles×C · C×M GEMM
+//     per Winograd-domain point, so the transformed kernel is shared by
+//     every tile of every image) and the output transform, and a
+//     scatter.
 //
 // Primitives without a batched implementation fall back to per-image
 // Run, parallelized across images.
@@ -259,104 +260,204 @@ func im2colBatchFused(kind gemmKind) func(dst, in *tensor.Batch, k *Kernel, s Sc
 	}
 }
 
-// wino2DBatch builds the batched 2D Winograd entry. The kernel
-// transform runs once per call and is shared by every tile of every
-// image; the pointwise stage is restructured from per-tile channel
-// loops into one GEMM per Winograd-domain point. The VF4/VF8 lane
-// variants of the per-image primitive deliberately share this one
-// batched implementation: the GEMM subsumes lane blocking, so the
-// vector factor only differentiates the cost model's pricing, not the
-// batched execution.
+// winoChunkTiles caps the tiles one worker pushes through the pipeline
+// at a time, so its panels (at most 2·t²·64·max(C, M) floats) are
+// sized by the layer's channels, not by the batch.
+const winoChunkTiles = 64
+
+// wino2DBatch builds the 2D Winograd entry for F(m×m, r×r); the
+// per-image Run calls it with a batch of one. Every arithmetic stage is
+// a packed-GEMM call. The batch's T = N·tilesY·tilesX tiles (image-
+// major) are cut into chunks of n tiles, and each worker takes whole
+// chunks through five stages on panels with one column block per tile
+// holding its C input or M output channels:
 //
-// The pointwise stage per Winograd-domain point i is
+//	gather     D[t² × n·C]: row a·t+b holds pixel (a,b) of each tile
+//	GEMM       V[t² × n·C] = (Bᵀ⊗Bᵀ) · D
+//	GEMM       Y_i[n × M] = V_i[n × C] · U_i[C × M], one per point i
+//	GEMM       O[m² × n·M] = (Aᵀ⊗Aᵀ) · Y
+//	scatter    O's column blocks into each image's output tiles
 //
-//	Y_i[M×T] = U_i[M×C] · V_i[C×T],  T = N · tilesY · tilesX,
-//
-// so the transformed kernel panel U_i is streamed over the whole
-// minibatch's tiles at once. Transforms stay in float64 (numerical
-// headroom, as in the per-image primitive); the pointwise accumulation
-// runs in float32 like the GEMM-backed families.
+// after the kernel transform U[t² × C·M] = (G⊗G) · gᵀ, computed once
+// per call, where g holds the flattened r×r filters as rows in
+// channel-major order. The Kronecker operators cost t⁴ multiply-adds
+// per tile-channel where the separable sandwich Bᵀ·d·B costs 2t³, but
+// they run at GEMM speed and need no per-tile temporaries. Channels
+// innermost make an HWC gather or scatter a run of contiguous copies
+// and put the output channels on the pointwise GEMM's wide axis. The
+// VF4/VF8 variants share this one implementation: the GEMM subsumes
+// lane blocking, so the vector factor only differentiates the cost
+// model's pricing.
 func wino2DBatch(m, r int, layout tensor.Layout) func(dst, in *tensor.Batch, k *Kernel, s Scenario, threads int) {
-	plan := winograd.NewPlan(m, r)
+	w := winoTiles[[2]int{m, r}]
+	gather, scatter := winoGatherCHW, winoScatterCHW
+	if layout == tensor.HWC {
+		gather, scatter = winoGatherHWC, winoScatterHWC
+	}
 	return func(dst, in *tensor.Batch, kern *Kernel, s Scenario, threads int) {
 		if s.Stride != 1 || s.K != r {
 			panic(fmt.Sprintf("wino2d F(%d,%d): unsupported scenario %s", m, r, s))
 		}
-		oh, ow := s.OutH(), s.OutW()
-		t := plan.T
+		t, rr := w.plan.T, r*r
 		tt := t * t
-		tilesY := (oh + m - 1) / m
-		tilesX := (ow + m - 1) / m
-		tilesPerImage := tilesY * tilesX
-		T := in.N * tilesPerImage
-		M, C := s.M, s.C
+		oh, ow := s.OutH(), s.OutW()
+		g := winoGeom{m: m, t: t, pad: s.Pad, c: s.C, h: s.H, w: s.W,
+			outC: s.M, oh: oh, ow: ow, tilesY: (oh + m - 1) / m, tilesX: (ow + m - 1) / m,
+			inStride: in.Stride, outStride: dst.Stride}
+		M, C, T := s.M, s.C, in.N*g.tilesY*g.tilesX
 
-		// Kernel transform once per batch: U[i] is an M×C row-major panel.
-		u := make([]float32, tt*M*C)
-		g := make([]float32, r*r)
-		for mm := 0; mm < M; mm++ {
-			for c := 0; c < C; c++ {
-				for kh := 0; kh < r; kh++ {
-					for kw := 0; kw < r; kw++ {
-						g[kh*r+kw] = kern.At(mm, c, kh, kw)
-					}
-				}
-				uk := plan.KernelTransform2D(g)
+		// Chunks come in rounds of one per worker, so every worker gets
+		// work even when the batch has few tiles.
+		workers := max(1, min(threads, T))
+		chunks := max(workers, (T+winoChunkTiles-1)/winoChunkTiles)
+		chunks = (chunks + workers - 1) / workers * workers
+		nt := (T + chunks - 1) / chunks
+
+		// One allocation: the channel-major filters, U, and per worker a
+		// region holding D and later Y, then one holding V and later O
+		// (each reuse starts once its predecessor has been consumed).
+		dyLen := tt * nt * max(C, M)
+		per := dyLen + nt*max(tt*C, m*m*M)
+		buf := make([]float32, C*M*rr+tt*C*M+workers*per)
+		gc, u := buf[:C*M*rr], buf[C*M*rr:][:tt*C*M]
+		for c := 0; c < C; c++ {
+			for mm := 0; mm < M; mm++ {
+				copy(gc[(c*M+mm)*rr:][:rr], kern.Data[(mm*C+c)*rr:][:rr])
+			}
+		}
+		gemmRows(gemmTransB, threads, tt, C*M, rr, w.kg, nil, gc, u)
+
+		parallelFor(workers, workers, func(wk int) {
+			ws := buf[C*M*rr+tt*C*M+wk*per:][:per]
+			for t0 := wk * nt; t0 < T; t0 += workers * nt {
+				n := min(nt, T-t0)
+				d, y := ws[:tt*n*C], ws[:tt*n*M]
+				v, o := ws[dyLen:][:tt*n*C], ws[dyLen:][:m*m*n*M]
+				gather(d, in.Data, &g, t0, n)
+				gemm.Packed(tt, n*C, tt, w.kb, d, v)
 				for i := 0; i < tt; i++ {
-					u[i*M*C+mm*C+c] = float32(uk[i])
+					gemm.Packed(n, M, C, v[i*n*C:][:n*C], u[i*C*M:][:C*M], y[i*n*M:][:n*M])
+				}
+				gemm.Packed(m*m, n*M, tt, w.ka, y, o)
+				scatter(dst.Data, o, &g, t0, n)
+			}
+		})
+	}
+}
+
+// winoGeom is one wino2d call's tiling: m×m output tiles over t×t
+// input tiles, tilesY×tilesX per image, on batch slabs of inStride
+// input and outStride output elements per image.
+type winoGeom struct {
+	m, t, pad           int
+	c, h, w             int // input channels and extent
+	outC, oh, ow        int // output channels and extent
+	tilesY, tilesX      int
+	inStride, outStride int
+}
+
+// The gathers and scatters move the n tiles t0, t0+1, … of a chunk,
+// numbered image-major across the batch, between the image slabs and a
+// chunk panel whose row p holds pixel p of every tile, tile k's
+// channels in the contiguous block [k·C, (k+1)·C).
+
+// winoGatherCHW fills the D panel from CHW images:
+// D[a·t+b][k·C + c] = src(c, y0+a−pad, x0+b−pad) for tile k at output
+// origin (y0, x0), zero outside the image. The leaf reads one pixel's
+// channels at stride H·W; its second loop bound is implied by the
+// first and only lets the compiler drop the bounds check.
+//
+//dnn:hotpath
+func winoGatherCHW(d, src []float32, g *winoGeom, t0, n int) {
+	m, t, c, h, w, tilesX := g.m, g.t, g.c, g.h, g.w, g.tilesX
+	tiles, plane := g.tilesY*tilesX, uint(h*w)
+	for k := 0; k < n; k++ {
+		img, tile := (t0+k)/tiles, (t0+k)%tiles
+		y0, x0 := tile/tilesX*m-g.pad, tile%tilesX*m-g.pad
+		im := src[img*g.inStride:][:g.inStride]
+		for a := 0; a < t; a++ {
+			ih := y0 + a
+			for b := 0; b < t; b++ {
+				blk := d[((a*t+b)*n+k)*c:][:c]
+				iw := x0 + b
+				if ih < 0 || ih >= h || iw < 0 || iw >= w {
+					clear(blk)
+					continue
+				}
+				px := im[ih*w+iw:]
+				for ch, i := 0, uint(0); ch < len(blk) && i < uint(len(px)); ch, i = ch+1, i+plane {
+					blk[ch] = px[i]
 				}
 			}
 		}
+	}
+}
 
-		// Input transform: V[i] is a C×T row-major panel; tile columns
-		// are image-major so each image's tiles stay contiguous.
-		v := make([]float32, tt*C*T)
-		parallelFor(threads, in.N, func(img int) {
-			d := make([]float64, tt)
-			src := in.Image(img)
-			for c := 0; c < C; c++ {
-				for ty := 0; ty < tilesY; ty++ {
-					for tx := 0; tx < tilesX; tx++ {
-						gatherTile2D(src, c, ty*m, tx*m, t, s.Pad, d)
-						vt := plan.InputTransform2D(d)
-						col := img*tilesPerImage + ty*tilesX + tx
-						for i := 0; i < tt; i++ {
-							v[i*C*T+c*T+col] = float32(vt[i])
-						}
-					}
+// winoGatherHWC is winoGatherCHW for HWC images, where each pixel's
+// channel block is one contiguous copy.
+//
+//dnn:hotpath
+func winoGatherHWC(d, src []float32, g *winoGeom, t0, n int) {
+	m, t, c, h, w, tilesX := g.m, g.t, g.c, g.h, g.w, g.tilesX
+	tiles := g.tilesY * tilesX
+	for k := 0; k < n; k++ {
+		img, tile := (t0+k)/tiles, (t0+k)%tiles
+		y0, x0 := tile/tilesX*m-g.pad, tile%tilesX*m-g.pad
+		im := src[img*g.inStride:][:g.inStride]
+		for a := 0; a < t; a++ {
+			ih := y0 + a
+			for b := 0; b < t; b++ {
+				blk := d[((a*t+b)*n+k)*c:][:c]
+				if iw := x0 + b; ih < 0 || ih >= h || iw < 0 || iw >= w {
+					clear(blk)
+				} else {
+					copy(blk, im[(ih*w+iw)*c:][:c])
 				}
 			}
-		})
+		}
+	}
+}
 
-		// Pointwise stage: tt independent GEMMs (one per Winograd-domain
-		// point) — the batch's parallelism axis. T = N·tiles is the wide
-		// axis, so each point's multiply rides the packed kernel.
-		y := make([]float32, tt*M*T)
-		parallelFor(threads, tt, func(i int) {
-			gemm.Packed(M, T, C, u[i*M*C:(i+1)*M*C], v[i*C*T:(i+1)*C*T], y[i*M*T:(i+1)*M*T])
-		})
-
-		// Output transform and scatter into per-image tiles.
-		parallelFor(threads, in.N, func(img int) {
-			sum := make([]float64, tt)
-			out := dst.Image(img)
-			for mm := 0; mm < M; mm++ {
-				for ty := 0; ty < tilesY; ty++ {
-					for tx := 0; tx < tilesX; tx++ {
-						col := img*tilesPerImage + ty*tilesX + tx
-						for i := 0; i < tt; i++ {
-							sum[i] = float64(y[i*M*T+mm*T+col])
-						}
-						yv := plan.OutputTransform2D(sum)
-						y0, x0 := ty*m, tx*m
-						for i := 0; i < m && y0+i < oh; i++ {
-							for j := 0; j < m && x0+j < ow; j++ {
-								out.Set(mm, y0+i, x0+j, float32(yv[i*m+j]))
-							}
-						}
-					}
+// winoScatterCHW writes the O panel into CHW images:
+// dst(mm, y0+i, x0+j) = O[i·m+j][k·M + mm] for tile k at output origin
+// (y0, x0), dropping tile outputs past the image edge. The leaf
+// spreads one pixel's channels over the output planes at stride OH·OW.
+//
+//dnn:hotpath
+func winoScatterCHW(dst, o []float32, g *winoGeom, t0, n int) {
+	m, outC, oh, ow, tilesX := g.m, g.outC, g.oh, g.ow, g.tilesX
+	tiles, plane := g.tilesY*tilesX, uint(oh*ow)
+	for k := 0; k < n; k++ {
+		img, tile := (t0+k)/tiles, (t0+k)%tiles
+		y0, x0 := tile/tilesX*m, tile%tilesX*m
+		out := dst[img*g.outStride:][:g.outStride]
+		for i := 0; i < m && y0+i < oh; i++ {
+			for j := 0; j < m && x0+j < ow; j++ {
+				blk := o[((i*m+j)*n+k)*outC:][:outC]
+				px := out[(y0+i)*ow+x0+j:]
+				for mm, p := 0, uint(0); mm < len(blk) && p < uint(len(px)); mm, p = mm+1, p+plane {
+					px[p] = blk[mm]
 				}
 			}
-		})
+		}
+	}
+}
+
+// winoScatterHWC is winoScatterCHW for HWC images, where each output
+// pixel's channels are one contiguous copy.
+//
+//dnn:hotpath
+func winoScatterHWC(dst, o []float32, g *winoGeom, t0, n int) {
+	m, outC, oh, ow, tilesX := g.m, g.outC, g.oh, g.ow, g.tilesX
+	tiles := g.tilesY * tilesX
+	for k := 0; k < n; k++ {
+		img, tile := (t0+k)/tiles, (t0+k)%tiles
+		y0, x0 := tile/tilesX*m, tile%tilesX*m
+		out := dst[img*g.outStride:][:g.outStride]
+		for i := 0; i < m && y0+i < oh; i++ {
+			for j := 0; j < m && x0+j < ow; j++ {
+				copy(out[((y0+i)*ow+x0+j)*outC:][:outC], o[((i*m+j)*n+k)*outC:][:outC])
+			}
+		}
 	}
 }

@@ -106,6 +106,16 @@ func TestLibrarySize(t *testing.T) {
 	}
 }
 
+// BenchmarkLibrary times one Library() build. The selector rebuilds
+// the library on every SelectBatch, so this is on the serving set-up
+// path; per-F(m,r) Winograd plans and operators are shared, not rebuilt.
+func BenchmarkLibrary(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		Library()
+	}
+}
+
 func TestLibraryFamilies(t *testing.T) {
 	lib := Library()
 	for _, f := range Families() {

@@ -17,30 +17,44 @@ import (
 //     convolutions — more arithmetic but far less memory, which is why
 //     the optimizer picks it on the small-cache ARM core.
 //
-// VF variants block the channel accumulation by 4 or 8 lanes, the scalar
-// analogue of the paper's NEON/AVX2 vector-factor variants.
+// The 2D primitives run every stage on the packed GEMM (wino2DBatch);
+// the 1D primitives keep a scalar float64 pipeline whose VF variants
+// block the channel accumulation by 4 or 8 lanes, the scalar analogue
+// of the paper's NEON/AVX2 vector-factor variants.
 
-// gatherTile2D collects a t×t input tile (with zero padding) starting at
-// output tile origin (y0,x0) from a CHW or HWC tensor.
-func gatherTile2D(in *tensor.Tensor, c, y0, x0, t, pad int, dst []float64) {
-	for i := 0; i < t; i++ {
-		ih := y0 + i - pad
-		for j := 0; j < t; j++ {
-			iw := x0 + j - pad
-			if ih < 0 || ih >= in.H || iw < 0 || iw >= in.W {
-				dst[i*t+j] = 0
-			} else {
-				dst[i*t+j] = float64(in.At(c, ih, iw))
-			}
-		}
-	}
+// winoTile is one F(m,r): its plan, which the 1D algorithm applies row
+// by row, and its 2D transforms as Kronecker operators computed in
+// float64 and rounded once to float32 for the GEMM.
+type winoTile struct {
+	plan       *winograd.Plan
+	kg, kb, ka []float32 // G⊗G (t²×r²), Bᵀ⊗Bᵀ (t²×t²), Aᵀ⊗Aᵀ (m²×t²)
 }
+
+// winoTiles holds every F(m,r) the library offers, built once per
+// process: Library() is rebuilt on every selection, and constructing
+// plans and operators per call would dominate it.
+var winoTiles = func() map[[2]int]*winoTile {
+	f32 := func(x []float64) []float32 {
+		y := make([]float32, len(x))
+		for i, v := range x {
+			y[i] = float32(v)
+		}
+		return y
+	}
+	tiles := map[[2]int]*winoTile{}
+	for _, mr := range [][2]int{{2, 3}, {4, 3}, {6, 3}, {2, 5}, {3, 5}} {
+		p := winograd.NewPlan(mr[0], mr[1])
+		tiles[mr] = &winoTile{plan: p,
+			kg: f32(p.KernelKron2D()), kb: f32(p.InputKron2D()), ka: f32(p.OutputKron2D())}
+	}
+	return tiles
+}()
 
 // winoAccumRow accumulates the elementwise product of urow and vrow
 // into acc: acc[i] += urow[i]·vrow[i]. Both operand rows are re-sliced
 // to acc's length so all three indexes share one SSA length value and
-// the loop carries no bounds checks. This is the Winograd pointwise
-// stage — the family's only O(C·M·tiles) inner loop.
+// the loop carries no bounds checks. This is the 1D Winograd pointwise
+// stage — the algorithm's only O(C·M·tiles) inner loop.
 //
 //dnn:hotpath
 func winoAccumRow(acc, urow, vrow []float64) {
@@ -51,85 +65,17 @@ func winoAccumRow(acc, urow, vrow []float64) {
 	}
 }
 
-// wino2D returns a 2D tiled Winograd Run for F(m×m, r×r) with channel
-// accumulation blocked by vf. layout selects the activation layout.
-func wino2D(m, r, vf int, layout tensor.Layout) func(*tensor.Tensor, *Kernel, Scenario, int) *tensor.Tensor {
-	plan := winograd.NewPlan(m, r)
+// wino2D returns the 2D tiled Winograd Run for F(m×m, r×r): a
+// one-image call of the batched entry, so both paths share one
+// implementation.
+func wino2D(m, r int, layout tensor.Layout) func(*tensor.Tensor, *Kernel, Scenario, int) *tensor.Tensor {
+	run := wino2DBatch(m, r, layout)
 	return func(in *tensor.Tensor, k *Kernel, s Scenario, threads int) *tensor.Tensor {
 		checkLayout(in, layout, "wino2d")
 		checkScenario(in, k, s)
-		if s.Stride != 1 || s.K != r {
-			panic(fmt.Sprintf("wino2d F(%d,%d): unsupported scenario %s", m, r, s))
-		}
-		oh, ow := s.OutH(), s.OutW()
-		t := plan.T
-		tt := t * t
-		// Kernel transform: U[mm][c] is a t×t tile in Winograd domain.
-		u := make([][]float64, s.M*s.C)
-		for mm := 0; mm < s.M; mm++ {
-			for c := 0; c < s.C; c++ {
-				g := make([]float32, r*r)
-				for kh := 0; kh < r; kh++ {
-					for kw := 0; kw < r; kw++ {
-						g[kh*r+kw] = k.At(mm, c, kh, kw)
-					}
-				}
-				u[mm*s.C+c] = plan.KernelTransform2D(g)
-			}
-		}
-		out := tensor.New(layout, s.M, oh, ow)
-		tilesY := (oh + m - 1) / m
-		tilesX := (ow + m - 1) / m
-		parallelFor(threads, tilesY, func(ty int) {
-			d := make([]float64, tt)
-			v := make([]float64, s.C*tt) // transformed input tiles, all channels
-			sum := make([]float64, tt)
-			laneAcc := make([][]float64, vf)
-			for l := range laneAcc {
-				laneAcc[l] = make([]float64, tt)
-			}
-			tailAcc := make([]float64, tt)
-			for tx := 0; tx < tilesX; tx++ {
-				y0, x0 := ty*m, tx*m
-				for c := 0; c < s.C; c++ {
-					gatherTile2D(in, c, y0, x0, t, s.Pad, d)
-					copy(v[c*tt:(c+1)*tt], plan.InputTransform2D(d))
-				}
-				for mm := 0; mm < s.M; mm++ {
-					// Channel accumulation blocked by vf lanes: each lane
-					// keeps its own running row, tail channels theirs, and
-					// the rows combine tail-first then lanes in order — the
-					// same per-element addition sequence as an interleaved
-					// scalar loop, so results are bitwise identical.
-					for l := range laneAcc {
-						clear(laneAcc[l])
-					}
-					clear(tailAcc)
-					c := 0
-					for ; c+vf <= s.C; c += vf {
-						for l := 0; l < vf; l++ {
-							winoAccumRow(laneAcc[l], u[mm*s.C+c+l], v[(c+l)*tt:][:tt])
-						}
-					}
-					for ; c < s.C; c++ {
-						winoAccumRow(tailAcc, u[mm*s.C+c], v[c*tt:][:tt])
-					}
-					for i := range sum {
-						tail := tailAcc[i]
-						for _, lrow := range laneAcc {
-							tail += lrow[i]
-						}
-						sum[i] = tail
-					}
-					y := plan.OutputTransform2D(sum)
-					for i := 0; i < m && y0+i < oh; i++ {
-						for j := 0; j < m && x0+j < ow; j++ {
-							out.Set(mm, y0+i, x0+j, float32(y[i*m+j]))
-						}
-					}
-				}
-			}
-		})
+		out := tensor.New(layout, s.M, s.OutH(), s.OutW())
+		run(tensor.NewBatchWith(layout, 1, out.C, out.H, out.W, out.Data),
+			tensor.NewBatchWith(layout, 1, in.C, in.H, in.W, in.Data), k, s, threads)
 		return out
 	}
 }
@@ -138,7 +84,7 @@ func wino2D(m, r, vf int, layout tensor.Layout) func(*tensor.Tensor, *Kernel, Sc
 // as the sum over kernel rows of 1D convolutions, with channel and
 // kernel-row accumulation done in the Winograd domain per row tile.
 func wino1D(m, r, vf int, layout tensor.Layout) func(*tensor.Tensor, *Kernel, Scenario, int) *tensor.Tensor {
-	plan := winograd.NewPlan(m, r)
+	plan := winoTiles[[2]int{m, r}].plan
 	return func(in *tensor.Tensor, k *Kernel, s Scenario, threads int) *tensor.Tensor {
 		checkLayout(in, layout, "wino1d")
 		checkScenario(in, k, s)
@@ -195,10 +141,10 @@ func wino1D(m, r, vf int, layout tensor.Layout) func(*tensor.Tensor, *Kernel, Sc
 					}
 				}
 				for mm := 0; mm < s.M; mm++ {
-					// Same lane-blocked accumulation as wino2D, over
-					// (channel, kernel-row) pairs; per-lane rows keep the
-					// addition sequence bitwise identical to the scalar
-					// interleaving.
+					// Channel accumulation blocked by vf lanes over
+					// (channel, kernel-row) pairs: each lane keeps its own
+					// running row, tail pairs theirs, and the rows combine
+					// tail-first then lanes in order.
 					for l := range laneAcc {
 						clear(laneAcc[l])
 					}
@@ -232,11 +178,10 @@ func wino1D(m, r, vf int, layout tensor.Layout) func(*tensor.Tensor, *Kernel, Sc
 }
 
 // winoWorkspace2D models the resident working set of the 2D algorithm
-// in idealized float32 units (the reference implementation here uses
-// float64 intermediates for numerical headroom, but a production kernel
-// would not): the full Winograd-domain kernel tensor plus one row of
-// transformed input tiles. This is the "significant memory" Table 1
-// charges the 2D algorithm with.
+// in float32 units: the full Winograd-domain kernel tensor plus one row
+// of transformed input tiles. This is the "significant memory" Table 1
+// charges the 2D algorithm with; it prices the algorithm, not the
+// whole-batch panels wino2DBatch holds.
 func winoWorkspace2D(m, r int) func(Scenario) int64 {
 	t := m + r - 1
 	return func(s Scenario) int64 {
@@ -275,7 +220,7 @@ func winoPrimitives() []*Primitive {
 			VF: vf, Ks: []int{r}, MinC: 1,
 			WinoM: m, WinoR: r, Wino2D: true,
 			Workspace: winoWorkspace2D(m, r),
-			Run:       wino2D(m, r, vf, layout),
+			Run:       wino2D(m, r, layout),
 			RunBatch:  wino2DBatch(m, r, layout),
 		})
 	}

@@ -1,52 +1,79 @@
 package conv
 
 import (
+	"strings"
 	"testing"
 
 	"pbqpdnn/internal/tensor"
 )
 
-// TestGatherTile2DPadding checks the tile gatherer's zero-padding
-// behaviour at all four image corners.
-func TestGatherTile2DPadding(t *testing.T) {
-	in := tensor.New(tensor.CHW, 1, 4, 4)
-	v := float32(1)
-	for h := 0; h < 4; h++ {
-		for w := 0; w < 4; w++ {
-			in.Set(0, h, w, v)
-			v++
+// TestWinoGatherPadding checks the slab gathers against their
+// definition, D[a·t+b][tile·C + c] = src(c, ty·m+a−pad, tx·m+b−pad)
+// with zeros outside the image, for CHW and HWC at pad 1 and 2, on
+// every tile. The 5×6 image's tiles overhang it at all four corners:
+// top and left by pad, bottom and right by the last tiles' windows.
+func TestWinoGatherPadding(t *testing.T) {
+	for _, layout := range []tensor.Layout{tensor.CHW, tensor.HWC} {
+		for _, pad := range []int{1, 2} {
+			const m, c, h, w = 2, 2, 5, 6
+			r := 2*pad + 1
+			tp := m + r - 1
+			in := tensor.New(layout, c, h, w)
+			for i := range in.Data {
+				in.Data[i] = float32(i + 1) // no genuine zeros
+			}
+			oh, ow := h+2*pad-r+1, w+2*pad-r+1
+			tilesY := (oh + m - 1) / m
+			g := winoGeom{m: m, t: tp, pad: pad, c: c, h: h, w: w, outC: 1, oh: oh, ow: ow,
+				tilesY: tilesY, tilesX: (ow + m - 1) / m, inStride: len(in.Data)}
+			n := tilesY * g.tilesX
+			d := make([]float32, tp*tp*n*c)
+			for i := range d {
+				d[i] = -1 // sentinel: every entry must be written
+			}
+			if layout == tensor.HWC {
+				winoGatherHWC(d, in.Data, &g, 0, n)
+			} else {
+				winoGatherCHW(d, in.Data, &g, 0, n)
+			}
+			at := func(a, b, ch, ty, tx int) float32 {
+				return d[((a*tp+b)*n+ty*g.tilesX+tx)*c+ch]
+			}
+			for ch := 0; ch < c; ch++ {
+				for ty := 0; ty < tilesY; ty++ {
+					for tx := 0; tx < g.tilesX; tx++ {
+						for a := 0; a < tp; a++ {
+							for b := 0; b < tp; b++ {
+								ih, iw := ty*m+a-pad, tx*m+b-pad
+								want := float32(0)
+								if ih >= 0 && ih < h && iw >= 0 && iw < w {
+									want = in.At(ch, ih, iw)
+								}
+								if got := at(a, b, ch, ty, tx); got != want {
+									t.Fatalf("%s pad %d: tile (%d,%d) pixel (%d,%d) ch %d = %v, want %v",
+										layout, pad, ty, tx, a, b, ch, got, want)
+								}
+							}
+						}
+					}
+				}
+			}
 		}
 	}
-	dst := make([]float64, 16)
-	// Tile anchored at output (0,0) with pad 1 reads one padded row and
-	// column.
-	gatherTile2D(in, 0, 0, 0, 4, 1, dst)
-	if dst[0] != 0 || dst[3] != 0 || dst[12] != 0 {
-		t.Error("top/left padding not zero")
-	}
-	if dst[5] != 1 || dst[6] != 2 {
-		t.Errorf("interior wrong: %v", dst)
-	}
-	// Tile hanging off the bottom-right.
-	gatherTile2D(in, 0, 3, 3, 4, 1, dst)
-	if dst[0] != float64(in.At(0, 2, 2)) {
-		t.Errorf("anchored read wrong: %v", dst[0])
-	}
-	for i := 0; i < 4; i++ {
-		if dst[3*4+i] != 0 || dst[i*4+3] != 0 {
-			t.Error("bottom/right padding not zero")
-		}
-	}
+}
+
+// winoOddScenarios have output extents that are not multiples of the
+// tile size, so boundary tiles write partially.
+var winoOddScenarios = []Scenario{
+	{C: 2, H: 7, W: 5, Stride: 1, K: 3, M: 3, Pad: 1},  // 7×5 out, m∤
+	{C: 3, H: 9, W: 11, Stride: 1, K: 5, M: 2, Pad: 2}, // 9×11 out
+	{C: 1, H: 3, W: 3, Stride: 1, K: 3, M: 1, Pad: 1},  // single partial tile
 }
 
 // TestWinoNonDivisibleTiles exercises output extents that are not
 // multiples of the tile size (boundary tiles write partially).
 func TestWinoNonDivisibleTiles(t *testing.T) {
-	for _, s := range []Scenario{
-		{C: 2, H: 7, W: 5, Stride: 1, K: 3, M: 3, Pad: 1},  // 7×5 out, m∤
-		{C: 3, H: 9, W: 11, Stride: 1, K: 5, M: 2, Pad: 2}, // 9×11 out
-		{C: 1, H: 3, W: 3, Stride: 1, K: 3, M: 1, Pad: 1},  // single partial tile
-	} {
+	for _, s := range winoOddScenarios {
 		in := tensor.New(tensor.CHW, s.C, s.H, s.W)
 		in.FillRandom(int64(s.H))
 		k := NewKernel(s.M, s.C, s.K)
@@ -59,6 +86,88 @@ func TestWinoNonDivisibleTiles(t *testing.T) {
 			out := p.Run(tensor.Convert(in, p.In), k, s, 2)
 			if d := tensor.MaxAbsDiff(out, want); d > tolFor(s) {
 				t.Errorf("%s on %s: diff %g", p.Name, s, d)
+			}
+		}
+	}
+}
+
+// TestWino2DBatchMatchesReference pins the batched 2D Winograd entry
+// directly to Reference. The per-image Run is a one-image call of the
+// same entry, so comparing the two (TestBatchedEntriesMatchPerImageRun)
+// no longer checks it independently. Covered: every wino2d primitive
+// (both layouts), N ∈ {1,3}, threads ∈ {1,3}, the batch grid, the
+// partial-tile geometries and two GoogLeNet inception shapes.
+func TestWino2DBatchMatchesReference(t *testing.T) {
+	scenarios := append(append([]Scenario{}, batchScenarios()...), winoOddScenarios...)
+	scenarios = append(scenarios,
+		Scenario{C: 96, H: 28, W: 28, Stride: 1, K: 3, M: 128, Pad: 1}, // inception 3a 3×3
+		Scenario{C: 16, H: 28, W: 28, Stride: 1, K: 5, M: 32, Pad: 2},  // inception 3a 5×5
+	)
+	const n = 3
+	for _, s := range scenarios {
+		k := NewKernel(s.M, s.C, s.K)
+		k.FillRandom(int64(s.C + s.M))
+		src := makeInputBatch(tensor.CHW, n, s)
+		want := make([]*tensor.Tensor, n)
+		for i := range want {
+			want[i] = Reference(src.Image(i), k, s)
+		}
+		for _, p := range Library() {
+			if !strings.HasPrefix(p.Name, "wino2d-") || !p.Supports(s) {
+				continue
+			}
+			in := tensor.NewBatch(p.In, n, s.C, s.H, s.W)
+			for i := 0; i < n; i++ {
+				tensor.ConvertInto(in.Image(i), src.Image(i))
+			}
+			for _, nb := range []int{1, n} {
+				sub := tensor.NewBatchWith(p.In, nb, s.C, s.H, s.W, in.Data[:nb*in.Stride])
+				dst := tensor.NewBatch(p.Out, nb, s.M, s.OutH(), s.OutW())
+				for _, threads := range []int{1, 3} {
+					RunBatchInto(p, dst, sub, k, s, threads)
+					for i := 0; i < nb; i++ {
+						if d := tensor.MaxAbsDiff(dst.Image(i), want[i]); d > tolFor(s) {
+							t.Errorf("%s on %s N=%d threads=%d image %d: max diff %g > tol %g",
+								p.Name, s, nb, threads, i, d, tolFor(s))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWino2DAllocsBounded: one batched wino2d call makes a fixed number
+// of allocations (its one panel buffer plus the thread fan-out), not a
+// number that grows with channels or tiles.
+func TestWino2DAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are nondeterministic under the race detector (see race_test.go)")
+	}
+	for _, name := range []string{"wino2d-m4-k3-vf8", "wino2d-m4-k3-vf8-HWC"} {
+		p, err := ByName(Library(), name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []Scenario{
+			{C: 4, H: 8, W: 8, Stride: 1, K: 3, M: 4, Pad: 1},
+			{C: 48, H: 28, W: 28, Stride: 1, K: 3, M: 32, Pad: 1},
+		} {
+			in := makeInputBatch(p.In, 2, s)
+			k := NewKernel(s.M, s.C, s.K)
+			k.FillRandom(1)
+			dst := tensor.NewBatch(p.Out, 2, s.M, s.OutH(), s.OutW())
+			for _, threads := range []int{1, 3} {
+				// A few per call plus a fixed number per extra worker
+				// goroutine the stages fan out to.
+				bound := float64(8 + 12*(threads-1))
+				allocs := testing.AllocsPerRun(5, func() {
+					RunBatchInto(p, dst, in, k, s, threads)
+				})
+				if allocs > bound {
+					t.Errorf("%s on %s threads=%d: %.0f allocations per call, want ≤ %.0f",
+						name, s, threads, allocs, bound)
+				}
 			}
 		}
 	}

@@ -31,7 +31,8 @@ import (
 var BCERegistry = map[string][]string{
 	"pbqpdnn/internal/gemm": {"IKJ", "Blocked", "packedRowK4", "packedRowPart", "packB", "packBT", "applyEpiRow"},
 	"pbqpdnn/internal/conv": {"im2colPatchesIntoCols", "im2rowPatchesInto", "winoAccumRow",
-		"epiWritebackRow", "im2rowPatchesFromCHWInto", "im2colPatchesFromHWCIntoCols"},
+		"epiWritebackRow", "im2rowPatchesFromCHWInto", "im2colPatchesFromHWCIntoCols",
+		"winoGatherCHW", "winoGatherHWC", "winoScatterCHW", "winoScatterHWC"},
 	"pbqpdnn/internal/program": {"ReLUInto", "AddInto", "fcApply"},
 }
 

@@ -191,56 +191,33 @@ func (p *Plan) OutputTransform1D(s []float64) []float64 {
 	return y
 }
 
-// KernelTransform2D returns U = G·g·Gᵀ (t×t) for an r×r kernel given
-// row-major.
-func (p *Plan) KernelTransform2D(g []float32) []float64 {
-	if len(g) != p.R*p.R {
-		panic(fmt.Sprintf("winograd: kernel size %d, want %d", len(g), p.R*p.R))
-	}
-	gf := make([]float64, p.R*p.R)
-	for i, v := range g {
-		gf[i] = float64(v)
-	}
-	return p.sandwich(p.G, p.T, p.R, gf)
-}
+// KernelKron2D returns G⊗G (t²×r²): the 2D kernel transform G·g·Gᵀ
+// as one matrix acting on the row-major flattened r×r kernel, so a
+// batch of kernels transforms as a single matrix product.
+func (p *Plan) KernelKron2D() []float64 { return kron(p.G, p.T, p.R) }
 
-// InputTransform2D returns V = Bᵀ·d·B (t×t) for a t×t input tile.
-func (p *Plan) InputTransform2D(d []float64) []float64 {
-	if len(d) != p.T*p.T {
-		panic(fmt.Sprintf("winograd: tile size %d, want %d", len(d), p.T*p.T))
-	}
-	return p.sandwich(p.BT, p.T, p.T, d)
-}
+// InputKron2D returns Bᵀ⊗Bᵀ (t²×t²): the 2D input transform Bᵀ·d·B
+// acting on the row-major flattened t×t tile.
+func (p *Plan) InputKron2D() []float64 { return kron(p.BT, p.T, p.T) }
 
-// OutputTransform2D returns Y = Aᵀ·s·A (m×m) from the t×t elementwise
-// product.
-func (p *Plan) OutputTransform2D(s []float64) []float64 {
-	if len(s) != p.T*p.T {
-		panic(fmt.Sprintf("winograd: product size %d, want %d", len(s), p.T*p.T))
-	}
-	return p.sandwich(p.AT, p.M, p.T, s)
-}
+// OutputKron2D returns Aᵀ⊗Aᵀ (m²×t²): the 2D output transform Aᵀ·s·A
+// acting on the row-major flattened t×t product.
+func (p *Plan) OutputKron2D() []float64 { return kron(p.AT, p.M, p.T) }
 
-// sandwich computes M·x·Mᵀ where M is rows×cols and x is cols×cols.
-func (p *Plan) sandwich(m []float64, rows, cols int, x []float64) []float64 {
-	tmp := make([]float64, rows*cols) // M·x
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			var s float64
-			for k := 0; k < cols; k++ {
-				s += m[i*cols+k] * x[k*cols+j]
-			}
-			tmp[i*cols+j] = s
-		}
-	}
-	out := make([]float64, rows*rows) // (M·x)·Mᵀ
+// kron returns a⊗a for a rows×cols row-major matrix a. Row i·rows+j,
+// column k·cols+l holds a[i][k]·a[j][l], so (a⊗a)·vec(x) = vec(a·x·aᵀ)
+// for row-major vec.
+func kron(a []float64, rows, cols int) []float64 {
+	out := make([]float64, rows*rows*cols*cols)
+	n := cols * cols
 	for i := 0; i < rows; i++ {
 		for j := 0; j < rows; j++ {
-			var s float64
+			row := out[(i*rows+j)*n:][:n]
 			for k := 0; k < cols; k++ {
-				s += tmp[i*cols+k] * m[j*cols+k]
+				for l := 0; l < cols; l++ {
+					row[k*cols+l] = a[i*cols+k] * a[j*cols+l]
+				}
 			}
-			out[i*rows+j] = s
 		}
 	}
 	return out

@@ -1,11 +1,71 @@
 package winograd
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// The direct 2D transforms below are the oracle the Kronecker
+// operators are checked against: each is the textbook sandwich M·x·Mᵀ
+// in float64.
+
+// KernelTransform2D returns U = G·g·Gᵀ (t×t) for an r×r kernel given
+// row-major.
+func (p *Plan) KernelTransform2D(g []float32) []float64 {
+	if len(g) != p.R*p.R {
+		panic(fmt.Sprintf("winograd: kernel size %d, want %d", len(g), p.R*p.R))
+	}
+	gf := make([]float64, p.R*p.R)
+	for i, v := range g {
+		gf[i] = float64(v)
+	}
+	return p.sandwich(p.G, p.T, p.R, gf)
+}
+
+// InputTransform2D returns V = Bᵀ·d·B (t×t) for a t×t input tile.
+func (p *Plan) InputTransform2D(d []float64) []float64 {
+	if len(d) != p.T*p.T {
+		panic(fmt.Sprintf("winograd: tile size %d, want %d", len(d), p.T*p.T))
+	}
+	return p.sandwich(p.BT, p.T, p.T, d)
+}
+
+// OutputTransform2D returns Y = Aᵀ·s·A (m×m) from the t×t elementwise
+// product.
+func (p *Plan) OutputTransform2D(s []float64) []float64 {
+	if len(s) != p.T*p.T {
+		panic(fmt.Sprintf("winograd: product size %d, want %d", len(s), p.T*p.T))
+	}
+	return p.sandwich(p.AT, p.M, p.T, s)
+}
+
+// sandwich computes M·x·Mᵀ where M is rows×cols and x is cols×cols.
+func (p *Plan) sandwich(m []float64, rows, cols int, x []float64) []float64 {
+	tmp := make([]float64, rows*cols) // M·x
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			var s float64
+			for k := 0; k < cols; k++ {
+				s += m[i*cols+k] * x[k*cols+j]
+			}
+			tmp[i*cols+j] = s
+		}
+	}
+	out := make([]float64, rows*rows) // (M·x)·Mᵀ
+	for i := 0; i < rows; i++ {
+		for j := 0; j < rows; j++ {
+			var s float64
+			for k := 0; k < cols; k++ {
+				s += tmp[i*cols+k] * m[j*cols+k]
+			}
+			out[i*rows+j] = s
+		}
+	}
+	return out
+}
 
 // corr1D is the reference correlation: y_i = Σ_j d[i+j]·g[j].
 func corr1D(d, g []float64) []float64 {
@@ -104,6 +164,48 @@ func TestPlan2DMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestKron2D checks each Kronecker operator against the direct sandwich
+// transform it replaces: applying the operator to a flattened tile must
+// reproduce the oracle's t×t (or m×m) result on every F(m,r) in
+// planCases, a superset of the primitive library's tiles.
+func TestKron2D(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	apply := func(op []float64, rows int, x []float64) []float64 {
+		y := make([]float64, rows)
+		matVec(op, rows, len(x), x, y)
+		return y
+	}
+	check := func(name string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d outputs, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 1e-12*(1+math.Abs(want[i])) {
+				t.Fatalf("%s: [%d] = %v, want %v", name, i, got[i], want[i])
+			}
+		}
+	}
+	for _, pc := range planCases {
+		p := NewPlan(pc.m, pc.r)
+		tt := p.T * p.T
+		g := make([]float32, pc.r*pc.r)
+		gf := make([]float64, len(g))
+		for i := range g {
+			g[i] = rng.Float32()*2 - 1
+			gf[i] = float64(g[i])
+		}
+		d := make([]float64, tt)
+		for i := range d {
+			d[i] = rng.Float64()*2 - 1
+		}
+		name := fmt.Sprintf("F(%d,%d)", pc.m, pc.r)
+		check(name+" G⊗G", apply(p.KernelKron2D(), tt, gf), p.KernelTransform2D(g))
+		check(name+" Bᵀ⊗Bᵀ", apply(p.InputKron2D(), tt, d), p.InputTransform2D(d))
+		check(name+" Aᵀ⊗Aᵀ", apply(p.OutputKron2D(), pc.m*pc.m, d), p.OutputTransform2D(d))
+	}
+}
+
 // TestF23KnownShape checks the canonical F(2,3) dimensions and that the
 // multiplication count matches the theory: 4 multiplies instead of 6.
 func TestF23KnownShape(t *testing.T) {
@@ -188,24 +290,5 @@ func TestTransformArgChecks(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func BenchmarkF43Tile2D(b *testing.B) {
-	p := NewPlan(4, 3)
-	g := []float32{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	u := p.KernelTransform2D(g)
-	d := make([]float64, p.T*p.T)
-	for i := range d {
-		d[i] = float64(i)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		v := p.InputTransform2D(d)
-		s := make([]float64, p.T*p.T)
-		for j := range s {
-			s[j] = u[j] * v[j]
-		}
-		p.OutputTransform2D(s)
 	}
 }
