@@ -417,7 +417,7 @@ func BenchmarkEngineBatch8ResNet18(b *testing.B) {
 // RunBatch inside:
 //
 //   - per-image-compiled: the batch-1 program looped over the images
-//     (convolution outputs primitive-allocated, kernels per image);
+//     (a one-image slot frame, kernels per image);
 //   - batched-compiled: the batch-N program executing the whole
 //     minibatch per instruction (batched kernels, N-scaled slot frame).
 //

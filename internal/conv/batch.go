@@ -7,12 +7,12 @@ import (
 	"pbqpdnn/internal/tensor"
 )
 
-// This file holds the minibatch entry points of the primitive library.
-// Where Run computes one image, RunBatchInto computes a whole N-image
-// batch in one call, writing into a caller-provided destination batch —
-// the contract the compiled batched program (internal/program) binds
-// its conv instructions to. Batched implementations restructure the
-// work so the minibatch buys kernel-level economy, not just repetition:
+// This file holds RunInto, the one entry point through which the
+// compiled program (internal/program) runs a conv instruction: it
+// computes a whole N-image batch, batch 1 included, in one call,
+// writing into a caller-provided destination batch. Batched
+// implementations restructure the work so the minibatch buys
+// kernel-level economy, not just repetition:
 //
 //   - im2row: all N images' patch rows stack into one tall Toeplitz
 //     matrix feeding a single GEMM whose output rows ARE the HWC batch
@@ -27,17 +27,23 @@ import (
 //     every tile of every image) and the output transform, and a
 //     scatter.
 //
-// Primitives without a batched implementation fall back to per-image
-// Run, parallelized across images.
+// The per-image Run of these primitives is a one-image call of the
+// same entry. Primitives without a batched implementation fall back to
+// per-image Run, parallelized across images.
 
-// checkBatch validates the batched call's geometry against the
-// scenario and the primitive's layouts.
-func checkBatch(p *Primitive, dst, in *tensor.Batch, k *Kernel, s Scenario) {
+// checkBatch validates a RunInto call's geometry against the scenario
+// and the primitive's layouts: the input may be in p.In or a layout
+// the primitive's pack absorbs, and the residual operand (when the
+// epilogue reads one) must align elementwise with dst.
+func checkBatch(p *Primitive, dst, in *tensor.Batch, k *Kernel, s Scenario, epi gemm.Epilogue, res *tensor.Batch) {
+	if in.Layout != p.In && !p.CanAbsorbInput(in.Layout) {
+		panic(fmt.Sprintf("conv: %s cannot read input layout %s", p.Name, in.Layout))
+	}
 	if in.N != dst.N {
 		panic(fmt.Sprintf("conv: batch size mismatch in=%d dst=%d", in.N, dst.N))
 	}
-	if in.Layout != p.In || dst.Layout != p.Out {
-		panic(fmt.Sprintf("conv: %s expects %s→%s, got %s→%s", p.Name, p.In, p.Out, in.Layout, dst.Layout))
+	if dst.Layout != p.Out {
+		panic(fmt.Sprintf("conv: %s produces %s, dst is %s", p.Name, p.Out, dst.Layout))
 	}
 	if err := s.Validate(); err != nil {
 		panic(err)
@@ -51,28 +57,52 @@ func checkBatch(p *Primitive, dst, in *tensor.Batch, k *Kernel, s Scenario) {
 	if k.M != s.M || k.C != s.C || k.K != s.K {
 		panic(fmt.Sprintf("conv: kernel M=%d C=%d K=%d does not match scenario %s", k.M, k.C, k.K, s))
 	}
+	switch epi {
+	case gemm.EpiAdd, gemm.EpiAddReLU:
+		if res == nil || res.Layout != dst.Layout || len(res.Data) < len(dst.Data) {
+			panic(fmt.Sprintf("conv: %s epilogue %v residual does not align with dst", p.Name, epi))
+		}
+	case gemm.EpiBias:
+		panic("conv: bias epilogue is a kernel-level capability, not a batched-program one")
+	}
 }
 
-// RunBatchInto executes the primitive over the whole minibatch,
-// writing image i's output into dst.Image(i). It dispatches to the
-// primitive's batched implementation when one exists; otherwise each
-// image runs through the per-image Run (in parallel across images when
-// threads allow) and is copied into its destination slab.
-func RunBatchInto(p *Primitive, dst, in *tensor.Batch, k *Kernel, s Scenario, threads int) {
-	checkBatch(p, dst, in, k, s)
-	if p.RunBatch != nil {
+// RunInto executes the primitive over the whole minibatch, writing
+// image i's output into dst.Image(i), with the epilogue epi (reading
+// residual res for the add forms) applied to the result. in is in
+// p.In, or, for a primitive whose pack absorbs it, the other plain
+// layout (CanAbsorbInput). A primitive with a fused entry applies epi
+// in its output write; every other one runs its batched entry, or
+// per-image Run (in parallel across images when threads allow) copied
+// into its destination slab, followed by an epilogue post-pass. Either
+// way the result is bitwise what the plain convolution followed by the
+// separate elementwise pass computes: fusion only moves work.
+func RunInto(p *Primitive, dst, in *tensor.Batch, k *Kernel, s Scenario, threads int, epi gemm.Epilogue, res *tensor.Batch) {
+	checkBatch(p, dst, in, k, s, epi, res)
+	switch {
+	case p.RunBatchFused != nil:
+		p.RunBatchFused(dst, in, k, s, threads, epi, res)
+		return
+	case p.RunBatch != nil:
 		p.RunBatch(dst, in, k, s, threads)
-		return
+	case in.N == 1:
+		copy(dst.Slab(0), p.Run(in.Image(0), k, s, threads).Data)
+	default:
+		parallelFor(threads, in.N, func(i int) {
+			copy(dst.Slab(i), p.Run(in.Image(i), k, s, 1).Data)
+		})
 	}
-	if in.N == 1 {
-		out := p.Run(in.Image(0), k, s, threads)
-		copy(dst.Slab(0), out.Data)
-		return
-	}
-	parallelFor(threads, in.N, func(i int) {
-		out := p.Run(in.Image(i), k, s, 1)
-		copy(dst.Slab(i), out.Data)
-	})
+	applyEpilogueBatch(dst, epi, res, threads)
+}
+
+// oneImage is the per-image Run of a primitive with a batched entry:
+// RunInto with a batch of one, so both paths share one implementation.
+func (p *Primitive) oneImage(in *tensor.Tensor, k *Kernel, s Scenario, threads int) *tensor.Tensor {
+	checkLayout(in, p.In, p.Name)
+	out := tensor.New(p.Out, s.M, s.OutH(), s.OutW())
+	RunInto(p, tensor.NewBatchWith(p.Out, 1, out.C, out.H, out.W, out.Data),
+		tensor.NewBatchWith(p.In, 1, in.C, in.H, in.W, in.Data), k, s, threads, gemm.EpiNone, nil)
+	return out
 }
 
 // gemmKernel runs one C = A·B multiply with the plan-selected kernel
@@ -124,15 +154,6 @@ func gemmRows(kind gemmKind, threads, m, n, k int, a, b, bt, c []float32) {
 	})
 }
 
-// im2rowBatch builds the plain batched im2row entry as the fused one
-// with no fused work.
-func im2rowBatch(kind gemmKind) func(dst, in *tensor.Batch, k *Kernel, s Scenario, threads int) {
-	f := im2rowBatchFused(kind)
-	return func(dst, in *tensor.Batch, k *Kernel, s Scenario, threads int) {
-		f(dst, in, k, s, threads, gemm.EpiNone, nil)
-	}
-}
-
 // im2rowBatchFused builds the batched im2row entry: one tall patch
 // matrix (N·Ho·Wo)×(C·K²) — the input batch slab itself for
 // 1×1/stride-1 HWC input — and one GEMM writing directly into the HWC
@@ -177,15 +198,6 @@ func im2rowBatchFused(kind gemmKind) func(dst, in *tensor.Batch, k *Kernel, s Sc
 		// thread split is always by rows, with the selected variant run
 		// on each slab.
 		gemmRowsEpi(kind, threads, m, n, kk, patches, b, bt, dst.Data[:m*n], epi, r)
-	}
-}
-
-// im2colBatch builds the plain batched im2col entry as the fused one
-// with no fused work.
-func im2colBatch(kind gemmKind) func(dst, in *tensor.Batch, k *Kernel, s Scenario, threads int) {
-	f := im2colBatchFused(kind)
-	return func(dst, in *tensor.Batch, k *Kernel, s Scenario, threads int) {
-		f(dst, in, k, s, threads, gemm.EpiNone, nil)
 	}
 }
 
@@ -265,12 +277,12 @@ func im2colBatchFused(kind gemmKind) func(dst, in *tensor.Batch, k *Kernel, s Sc
 // sized by the layer's channels, not by the batch.
 const winoChunkTiles = 64
 
-// wino2DBatch builds the 2D Winograd entry for F(m×m, r×r); the
-// per-image Run calls it with a batch of one. Every arithmetic stage is
-// a packed-GEMM call. The batch's T = N·tilesY·tilesX tiles (image-
-// major) are cut into chunks of n tiles, and each worker takes whole
-// chunks through five stages on panels with one column block per tile
-// holding its C input or M output channels:
+// wino2DBatch builds the 2D Winograd entry for F(m×m, r×r). Every
+// arithmetic stage is a packed-GEMM call. The batch's
+// T = N·tilesY·tilesX tiles (image-major) are cut into chunks of n
+// tiles, and each worker takes whole chunks through five stages on
+// panels with one column block per tile holding its C input or M
+// output channels:
 //
 //	gather     D[t² × n·C]: row a·t+b holds pixel (a,b) of each tile
 //	GEMM       V[t² × n·C] = (Bᵀ⊗Bᵀ) · D

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"pbqpdnn/internal/gemm"
 	"pbqpdnn/internal/tensor"
 )
 
@@ -30,14 +31,16 @@ func batchScenarios() []Scenario {
 
 // TestBatchedEntriesMatchPerImageRun: every primitive carrying a
 // batched implementation must compute, image for image, what its
-// per-image Run computes. The batched restructure may reorder float
-// work and run its pointwise stages in float32 (the wino2d GEMM), so
-// the acceptance bar is the library-wide 1e-4 relative tolerance the
-// engine equivalence harness uses.
+// per-image Run computes. Run is a one-image call of the same entry,
+// so this pins that an image's result does not depend on the rest of
+// its batch (TestBatchedEntriesMatchReference pins the arithmetic).
+// The batch-wide restructure may reorder float work across the thread
+// split, so the acceptance bar is the library-wide 1e-4 relative
+// tolerance the engine equivalence harness uses.
 func TestBatchedEntriesMatchPerImageRun(t *testing.T) {
 	const n = 3
 	for _, p := range Library() {
-		if p.RunBatch == nil {
+		if !p.Batched() {
 			continue
 		}
 		for _, s := range batchScenarios() {
@@ -49,7 +52,7 @@ func TestBatchedEntriesMatchPerImageRun(t *testing.T) {
 			k.FillRandom(3)
 			dst := tensor.NewBatch(p.Out, n, s.M, s.OutH(), s.OutW())
 			for _, threads := range []int{1, 3} {
-				RunBatchInto(p, dst, in, k, s, threads)
+				RunInto(p, dst, in, k, s, threads, gemm.EpiNone, nil)
 				for i := 0; i < n; i++ {
 					want := p.Run(in.Image(i), k, s, 1)
 					if !tensor.WithinRel(dst.Image(i), want, 1e-4) {
@@ -62,13 +65,73 @@ func TestBatchedEntriesMatchPerImageRun(t *testing.T) {
 	}
 }
 
-// TestRunBatchIntoFallback: a primitive with no batched entry runs per
-// image through Run and lands in the right slabs.
+// TestBatchedEntriesMatchReference pins every batched entry directly
+// to the textbook Reference: the per-image Run of these primitives is a
+// one-image call of the same entry, so comparing the two
+// (TestBatchedEntriesMatchPerImageRun) cannot catch an arithmetic
+// error. Covered: the batch grid and the partial-tile Winograd
+// geometries, N ∈ {1,3}, threads ∈ {1,3}.
+func TestBatchedEntriesMatchReference(t *testing.T) {
+	scenarios := append(append([]Scenario{}, batchScenarios()...), winoOddScenarios...)
+	checked := batchedMatchesReference(t, scenarios, func(*Primitive) bool { return true })
+	for _, p := range Library() {
+		if p.Batched() && !checked[p.Name] {
+			t.Errorf("%s: no scenario exercised its batched entry", p.Name)
+		}
+	}
+}
+
+// batchedMatchesReference runs every batched primitive keep accepts
+// through RunInto on each scenario it supports, at N ∈ {1,3} and
+// threads ∈ {1,3}, and holds each image to Reference within tolFor. It
+// returns the names of the primitives it checked.
+func batchedMatchesReference(t *testing.T, scenarios []Scenario, keep func(*Primitive) bool) map[string]bool {
+	t.Helper()
+	const n = 3
+	checked := map[string]bool{}
+	for _, s := range scenarios {
+		k := NewKernel(s.M, s.C, s.K)
+		k.FillRandom(int64(s.C + s.M))
+		src := makeInputBatch(tensor.CHW, n, s)
+		want := make([]*tensor.Tensor, n)
+		for i := range want {
+			want[i] = Reference(src.Image(i), k, s)
+		}
+		for _, p := range Library() {
+			if !p.Batched() || !keep(p) || !p.Supports(s) {
+				continue
+			}
+			checked[p.Name] = true
+			in := tensor.NewBatch(p.In, n, s.C, s.H, s.W)
+			for i := 0; i < n; i++ {
+				tensor.ConvertInto(in.Image(i), src.Image(i))
+			}
+			for _, nb := range []int{1, n} {
+				sub := tensor.NewBatchWith(p.In, nb, s.C, s.H, s.W, in.Data[:nb*in.Stride])
+				dst := tensor.NewBatch(p.Out, nb, s.M, s.OutH(), s.OutW())
+				for _, threads := range []int{1, 3} {
+					RunInto(p, dst, sub, k, s, threads, gemm.EpiNone, nil)
+					for i := 0; i < nb; i++ {
+						if d := tensor.MaxAbsDiff(dst.Image(i), want[i]); d > tolFor(s) {
+							t.Errorf("%s on %s N=%d threads=%d image %d: max diff %g > tol %g",
+								p.Name, s, nb, threads, i, d, tolFor(s))
+						}
+					}
+				}
+			}
+		}
+	}
+	return checked
+}
+
+// TestRunBatchIntoFallback: RunInto runs a primitive with no batched
+// entry per image through Run, and each result lands in its own slab,
+// at batch 1 (where Run gets the whole thread budget) as at batch 2.
 func TestRunBatchIntoFallback(t *testing.T) {
 	lib := Library()
 	var fallbacks []*Primitive
 	for _, p := range lib {
-		if p.RunBatch == nil && (p.Family == FamilyDirect || p.Family == FamilyKn2) {
+		if !p.Batched() && (p.Family == FamilyDirect || p.Family == FamilyKn2) {
 			fallbacks = append(fallbacks, p)
 		}
 	}
@@ -81,15 +144,17 @@ func TestRunBatchIntoFallback(t *testing.T) {
 		if !p.Supports(s) || p.In.BlockSize() > 0 || p.Out.BlockSize() > 0 {
 			continue
 		}
-		in := makeInputBatch(p.In, 2, s)
 		k := NewKernel(s.M, s.C, s.K)
 		k.FillRandom(5)
-		dst := tensor.NewBatch(p.Out, 2, s.M, s.OutH(), s.OutW())
-		RunBatchInto(p, dst, in, k, s, 2)
-		for i := 0; i < 2; i++ {
-			want := p.Run(in.Image(i), k, s, 1)
-			if !tensor.AlmostEqual(dst.Image(i), want, 0) {
-				t.Errorf("%s image %d: fallback differs from per-image Run", p.Name, i)
+		for _, n := range []int{1, 2} {
+			in := makeInputBatch(p.In, n, s)
+			dst := tensor.NewBatch(p.Out, n, s.M, s.OutH(), s.OutW())
+			RunInto(p, dst, in, k, s, 2, gemm.EpiNone, nil)
+			for i := 0; i < n; i++ {
+				want := p.Run(in.Image(i), k, s, 1)
+				if !tensor.AlmostEqual(dst.Image(i), want, 0) {
+					t.Errorf("%s n=%d image %d: fallback differs from per-image Run", p.Name, n, i)
+				}
 			}
 		}
 		tested++
@@ -106,7 +171,7 @@ func TestRunBatchIntoFallback(t *testing.T) {
 // implementations: every im2col/im2row and wino2d entry must have one.
 func TestBatchedCoverage(t *testing.T) {
 	for _, p := range Library() {
-		batched := p.RunBatch != nil
+		batched := p.Batched()
 		wantBatched := strings.HasPrefix(p.Name, "im2col-a") || strings.HasPrefix(p.Name, "im2col-b") ||
 			strings.HasPrefix(p.Name, "im2col-n") || strings.HasPrefix(p.Name, "im2row-a") ||
 			strings.HasPrefix(p.Name, "im2row-b") || strings.HasPrefix(p.Name, "im2row-n") ||
@@ -117,8 +182,8 @@ func TestBatchedCoverage(t *testing.T) {
 	}
 }
 
-// TestRunBatchIntoRejectsMismatch: geometry violations must panic, not
-// silently compute garbage.
+// TestRunBatchIntoRejectsMismatch: RunInto must panic on geometry
+// violations, not silently compute garbage.
 func TestRunBatchIntoRejectsMismatch(t *testing.T) {
 	p, err := ByName(Library(), "im2row-blk")
 	if err != nil {
@@ -133,5 +198,5 @@ func TestRunBatchIntoRejectsMismatch(t *testing.T) {
 			t.Error("mismatched batch sizes did not panic")
 		}
 	}()
-	RunBatchInto(p, dst, in, k, s, 1)
+	RunInto(p, dst, in, k, s, 1, gemm.EpiNone, nil)
 }

@@ -215,26 +215,29 @@ type Primitive struct {
 	// cache capacities.
 	Workspace func(s Scenario) int64
 
-	// Run executes the convolution. The input tensor must be in layout
-	// In; the result is produced in layout Out. threads ≤ 1 means
-	// single-threaded.
+	// Run executes the convolution on one image, allocating its result.
+	// The input tensor must be in layout In; the result is produced in
+	// layout Out. threads ≤ 1 means single-threaded. The compiled
+	// program never calls it directly: it goes through RunInto, which
+	// falls back to Run for primitives without a batched entry.
 	Run func(in *tensor.Tensor, k *Kernel, s Scenario, threads int) *tensor.Tensor
 
-	// RunBatch, when non-nil, executes the convolution over a whole
-	// minibatch in one call, writing into the caller-provided dst batch
-	// (same layout/shape contract as Run, batched). Batched entries
-	// amortize per-call kernel packing across the minibatch and feed
-	// batch-wide matrices to GEMM; primitives without one fall back to
-	// per-image Run via RunBatchInto.
-	RunBatch func(dst, in *tensor.Batch, k *Kernel, s Scenario, threads int)
-
-	// RunBatchFused, when non-nil, is the batched entry with the fused
-	// epilogue and pack-absorbed input conversion (see fused.go). in
-	// may be in p.In or a layout CanAbsorbInput accepts; epi/res follow
-	// RunBatchFusedInto's contract. Primitives without one get the
-	// post-pass fallback.
+	// RunBatch and RunBatchFused are the optional batched entries
+	// RunInto dispatches to; at most one is set. Both write a whole
+	// minibatch of any size, batch 1 included, into the caller-provided
+	// dst batch (Run's layout/shape contract, batched), amortizing
+	// kernel packing across the minibatch and feeding batch-wide
+	// matrices to GEMM. RunBatchFused also applies the epilogue epi
+	// (with residual res) in its output write and reads input in
+	// p.In or any layout CanAbsorbInput accepts (see fused.go); a
+	// RunBatch primitive gets RunInto's epilogue post-pass.
+	RunBatch      func(dst, in *tensor.Batch, k *Kernel, s Scenario, threads int)
 	RunBatchFused func(dst, in *tensor.Batch, k *Kernel, s Scenario, threads int, epi gemm.Epilogue, res *tensor.Batch)
 }
+
+// Batched reports whether the primitive has a batched entry; the rest
+// run image by image through Run.
+func (p *Primitive) Batched() bool { return p.RunBatch != nil || p.RunBatchFused != nil }
 
 // Supports reports whether the primitive can legally implement the
 // scenario.

@@ -1,22 +1,20 @@
 package conv
 
 import (
-	"fmt"
-
 	"pbqpdnn/internal/gemm"
 	"pbqpdnn/internal/tensor"
 )
 
-// This file holds the fused batched entry points: RunBatchFusedInto
-// executes a conv with work absorbed from neighboring instructions —
-// an elementwise epilogue (ReLU / residual add, the gemm.Epilogue
-// enum) applied while the output stripe is still cache-resident, and
-// an input-side layout conversion absorbed into the im2 patch pack so
-// the standalone conversion walk disappears. Primitives with a native
-// fused implementation expose it via Primitive.RunBatchFused; every
-// other primitive falls back to the plain batched entry plus a
-// post-pass, which preserves the instruction-count and slot-tenancy
-// wins even where the cache-residency win isn't available.
+// This file holds the fusion side of RunInto: a conv instruction may
+// carry work absorbed from neighboring instructions — an elementwise
+// epilogue (ReLU / residual add, the gemm.Epilogue enum) applied while
+// the output stripe is still cache-resident, and an input-side layout
+// conversion absorbed into the im2 patch pack so the standalone
+// conversion walk disappears. Primitives with a native fused
+// implementation expose it via Primitive.RunBatchFused; every other
+// primitive gets the plain run plus a post-pass, which preserves the
+// instruction-count and slot-tenancy wins even where the
+// cache-residency win isn't available.
 
 // CanFuseEpilogue reports whether the primitive's batched entry
 // applies the epilogue inside its own output write (the GEMM unpack
@@ -37,83 +35,12 @@ func (p *Primitive) CanAbsorbInput(from tensor.Layout) bool {
 		(p.In == tensor.CHW && from == tensor.HWC)
 }
 
-// checkFusedBatch is checkBatch relaxed for fusion: the input layout
-// may be one the primitive's pack absorbs, and the residual operand
-// (when the epilogue reads one) must align elementwise with dst.
-func checkFusedBatch(p *Primitive, dst, in *tensor.Batch, k *Kernel, s Scenario, epi gemm.Epilogue, res *tensor.Batch) {
-	if in.Layout != p.In && !p.CanAbsorbInput(in.Layout) {
-		panic(fmt.Sprintf("conv: %s cannot absorb input layout %s", p.Name, in.Layout))
-	}
-	if in.N != dst.N {
-		panic(fmt.Sprintf("conv: batch size mismatch in=%d dst=%d", in.N, dst.N))
-	}
-	if dst.Layout != p.Out {
-		panic(fmt.Sprintf("conv: %s produces %s, dst is %s", p.Name, p.Out, dst.Layout))
-	}
-	if err := s.Validate(); err != nil {
-		panic(err)
-	}
-	if in.C != s.C || in.H != s.H || in.W != s.W {
-		panic(fmt.Sprintf("conv: input %s does not match scenario %s", in, s))
-	}
-	if dst.C != s.M || dst.H != s.OutH() || dst.W != s.OutW() {
-		panic(fmt.Sprintf("conv: dst %s does not match scenario %s", dst, s))
-	}
-	if k.M != s.M || k.C != s.C || k.K != s.K {
-		panic(fmt.Sprintf("conv: kernel M=%d C=%d K=%d does not match scenario %s", k.M, k.C, k.K, s))
-	}
-	switch epi {
-	case gemm.EpiAdd, gemm.EpiAddReLU:
-		if res == nil || res.Layout != dst.Layout || len(res.Data) < len(dst.Data) {
-			panic(fmt.Sprintf("conv: %s epilogue %v residual does not align with dst", p.Name, epi))
-		}
-	case gemm.EpiBias:
-		panic("conv: bias epilogue is a kernel-level capability, not a batched-program one")
-	}
-}
-
-// RunBatchFusedInto executes the primitive over the minibatch with the
-// given fused work: epi (with residual res for the add forms) is
-// applied to dst as part of the output write, and when in.Layout
-// differs from p.In the conversion is absorbed into the patch pack.
-// The fused result is bitwise identical to running the plain batched
-// entry followed by the separate elementwise pass — fusion only moves
-// work, never changes arithmetic.
-func RunBatchFusedInto(p *Primitive, dst, in *tensor.Batch, k *Kernel, s Scenario, threads int, epi gemm.Epilogue, res *tensor.Batch) {
-	if epi == gemm.EpiNone && in.Layout == p.In {
-		RunBatchInto(p, dst, in, k, s, threads)
-		return
-	}
-	checkFusedBatch(p, dst, in, k, s, epi, res)
-	if p.RunBatchFused != nil && (in.Layout == p.In || p.CanAbsorbInput(in.Layout)) {
-		p.RunBatchFused(dst, in, k, s, threads, epi, res)
-		return
-	}
-	// Fallback: un-absorb the conversion into a temporary batch, run
-	// the plain entry, then walk the epilogue as a post-pass. Still one
-	// instruction from the program's point of view.
-	if in.Layout != p.In {
-		tmp := tensor.NewBatch(p.In, in.N, in.C, in.H, in.W)
-		parallelFor(threads, in.N, func(i int) {
-			t := tmp.Image(i)
-			tensor.ConvertInto(t, in.Image(i))
-		})
-		in = tmp
-	}
-	RunBatchInto(p, dst, in, k, s, threads)
-	ApplyEpilogueBatch(dst, epi, res, threads)
-}
-
-// ApplyEpilogueBatch applies the epilogue to a full output batch as a
-// standalone post-pass — the fallback for primitives without a native
-// fused kernel, and the batch-1 path (where conv outputs are dynamic
-// allocations, the epilogue runs in place on the fresh tensor).
-func ApplyEpilogueBatch(dst *tensor.Batch, epi gemm.Epilogue, res *tensor.Batch, threads int) {
+// applyEpilogueBatch applies the epilogue to a full output batch as a
+// standalone post-pass: RunInto's fallback for primitives without a
+// native fused kernel.
+func applyEpilogueBatch(dst *tensor.Batch, epi gemm.Epilogue, res *tensor.Batch, threads int) {
 	if epi == gemm.EpiNone {
 		return
-	}
-	if epi == gemm.EpiBias {
-		panic("conv: bias epilogue has no layout-blind batch post-pass")
 	}
 	parallelFor(threads, dst.N, func(i int) {
 		slab := dst.Slab(i)

@@ -16,13 +16,13 @@ func otherIm2Layout(l tensor.Layout) tensor.Layout {
 	return tensor.CHW
 }
 
-// TestFusedEpilogueMatchesPostPass: for every primitive,
-// RunBatchFusedInto with an epilogue must be bitwise identical to the
-// plain batched run followed by the separate elementwise pass — fusion
-// moves work into the output write, it never changes arithmetic.
+// TestFusedEpilogueMatchesPostPass: for every batched primitive,
+// RunInto with an epilogue must be bitwise identical to the plain run
+// followed by the separate elementwise pass — fusion moves work into
+// the output write, it never changes arithmetic.
 func TestFusedEpilogueMatchesPostPass(t *testing.T) {
 	for _, p := range Library() {
-		if p.RunBatch == nil {
+		if !p.Batched() {
 			continue
 		}
 		for _, s := range batchScenarios() {
@@ -41,9 +41,9 @@ func TestFusedEpilogueMatchesPostPass(t *testing.T) {
 				got := tensor.NewBatch(p.Out, n, s.M, s.OutH(), s.OutW())
 				for _, epi := range []gemm.Epilogue{gemm.EpiReLU, gemm.EpiAdd, gemm.EpiAddReLU} {
 					for _, threads := range []int{1, 3} {
-						RunBatchInto(p, want, in, k, s, threads)
-						ApplyEpilogueBatch(want, epi, res, threads)
-						RunBatchFusedInto(p, got, in, k, s, threads, epi, res)
+						RunInto(p, want, in, k, s, threads, gemm.EpiNone, nil)
+						applyEpilogueBatch(want, epi, res, threads)
+						RunInto(p, got, in, k, s, threads, epi, res)
 						for i := range got.Data {
 							if got.Data[i] != want.Data[i] {
 								t.Fatalf("%s %s n=%d threads=%d epi=%v: data[%d]=%v want %v (not bitwise)",
@@ -93,8 +93,8 @@ func TestFusedInputConversionMatchesConvertThenRun(t *testing.T) {
 				got := tensor.NewBatch(p.Out, n, s.M, s.OutH(), s.OutW())
 				for _, epi := range []gemm.Epilogue{gemm.EpiNone, gemm.EpiAddReLU} {
 					for _, threads := range []int{1, 3} {
-						RunBatchFusedInto(p, want, conv, k, s, threads, epi, res)
-						RunBatchFusedInto(p, got, raw, k, s, threads, epi, res)
+						RunInto(p, want, conv, k, s, threads, epi, res)
+						RunInto(p, got, raw, k, s, threads, epi, res)
 						for i := range got.Data {
 							if got.Data[i] != want.Data[i] {
 								t.Fatalf("%s %s n=%d threads=%d epi=%v: absorbed conversion diverges at %d",
@@ -135,9 +135,9 @@ func TestFusedFallbackCoversNonFusedPrimitives(t *testing.T) {
 		}
 		want := tensor.NewBatch(p.Out, n, s.M, s.OutH(), s.OutW())
 		got := tensor.NewBatch(p.Out, n, s.M, s.OutH(), s.OutW())
-		RunBatchInto(p, want, in, k, s, 2)
-		ApplyEpilogueBatch(want, gemm.EpiAddReLU, res, 2)
-		RunBatchFusedInto(p, got, in, k, s, 2, gemm.EpiAddReLU, res)
+		RunInto(p, want, in, k, s, 2, gemm.EpiNone, nil)
+		applyEpilogueBatch(want, gemm.EpiAddReLU, res, 2)
+		RunInto(p, got, in, k, s, 2, gemm.EpiAddReLU, res)
 		for i := range got.Data {
 			if got.Data[i] != want.Data[i] {
 				t.Fatalf("%s: fallback fused path diverges at %d", p.Name, i)

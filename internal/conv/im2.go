@@ -131,80 +131,6 @@ const (
 	gemmPacked
 )
 
-// im2col returns an im2col primitive Run using the requested GEMM
-// kernel. Output is CHW (M×Ho·Wo result rows are output maps).
-func im2col(kind gemmKind) func(*tensor.Tensor, *Kernel, Scenario, int) *tensor.Tensor {
-	return func(in *tensor.Tensor, k *Kernel, s Scenario, threads int) *tensor.Tensor {
-		checkLayout(in, tensor.CHW, "im2col")
-		checkScenario(in, k, s)
-		oh, ow := s.OutH(), s.OutW()
-		patches := im2colPatches(in, s)
-		out := tensor.New(tensor.CHW, s.M, oh, ow)
-		m, n, kk := s.M, oh*ow, s.C*s.K*s.K
-		a := kernelMatrixMCK(k)
-		switch kind {
-		case gemmNaive:
-			gemm.Naive(m, n, kk, a, patches, out.Data)
-		case gemmBlocked:
-			gemm.Blocked(m, n, kk, 0, a, patches, out.Data)
-		case gemmTransB:
-			// Patches transposed: build n×kk panel and use the BT kernel.
-			pt := transposeMat(kk, n, patches)
-			gemm.TransB(m, n, kk, a, pt, out.Data)
-		case gemmPacked:
-			// Columns (Ho·Wo) are the long axis of the per-image im2col
-			// GEMM, so the threaded split rides the packed column stripes.
-			if threads > 1 {
-				gemm.ParallelCols(threads, m, n, kk, a, patches, out.Data)
-			} else {
-				gemm.Packed(m, n, kk, a, patches, out.Data)
-			}
-		default:
-			if threads > 1 {
-				gemm.Parallel(threads, m, n, kk, a, patches, out.Data)
-			} else {
-				gemm.IKJ(m, n, kk, a, patches, out.Data)
-			}
-		}
-		return out
-	}
-}
-
-// im2row returns an im2row primitive Run: patches×kernelᵀ, producing HWC
-// output directly (the paper's Figure 4 first-layer choice).
-func im2row(kind gemmKind) func(*tensor.Tensor, *Kernel, Scenario, int) *tensor.Tensor {
-	return func(in *tensor.Tensor, k *Kernel, s Scenario, threads int) *tensor.Tensor {
-		checkLayout(in, tensor.HWC, "im2row")
-		checkScenario(in, k, s)
-		oh, ow := s.OutH(), s.OutW()
-		patches := im2rowPatches(in, s)
-		out := tensor.New(tensor.HWC, s.M, oh, ow)
-		m, n, kk := oh*ow, s.M, s.K*s.K*s.C
-		b := kernelMatrixKKC(k)
-		switch kind {
-		case gemmNaive:
-			gemm.Naive(m, n, kk, patches, b, out.Data)
-		case gemmBlocked:
-			gemm.Blocked(m, n, kk, 0, patches, b, out.Data)
-		case gemmTransB:
-			bt := transposeMat(kk, n, b)
-			gemm.TransB(m, n, kk, patches, bt, out.Data)
-		case gemmPacked:
-			// The patch-row axis is the long one here and n = M is narrow,
-			// so one packed call keeps the whole B panel resident; the
-			// batched entry (im2rowBatch) does the row splitting.
-			gemm.Packed(m, n, kk, patches, b, out.Data)
-		default:
-			if threads > 1 {
-				gemm.Parallel(threads, m, n, kk, patches, b, out.Data)
-			} else {
-				gemm.IKJ(m, n, kk, patches, b, out.Data)
-			}
-		}
-		return out
-	}
-}
-
 // im2colHWCOut is im2col with a fused transposing writeback producing
 // HWC output from the CHW-natural GEMM result.
 func im2colHWCOut(in *tensor.Tensor, k *Kernel, s Scenario, threads int) *tensor.Tensor {
@@ -318,15 +244,11 @@ func im2Workspace(s Scenario) int64 {
 func im2Primitives() []*Primitive {
 	ws := im2Workspace
 	im2colP := func(kind gemmKind, p *Primitive) *Primitive {
-		p.Run = im2col(kind)
-		p.RunBatch = im2colBatch(kind)
-		p.RunBatchFused = im2colBatchFused(kind)
+		p.Run, p.RunBatchFused = p.oneImage, im2colBatchFused(kind)
 		return p
 	}
 	im2rowP := func(kind gemmKind, p *Primitive) *Primitive {
-		p.Run = im2row(kind)
-		p.RunBatch = im2rowBatch(kind)
-		p.RunBatchFused = im2rowBatchFused(kind)
+		p.Run, p.RunBatchFused = p.oneImage, im2rowBatchFused(kind)
 		return p
 	}
 	return []*Primitive{

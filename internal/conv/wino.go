@@ -65,21 +65,6 @@ func winoAccumRow(acc, urow, vrow []float64) {
 	}
 }
 
-// wino2D returns the 2D tiled Winograd Run for F(m×m, r×r): a
-// one-image call of the batched entry, so both paths share one
-// implementation.
-func wino2D(m, r int, layout tensor.Layout) func(*tensor.Tensor, *Kernel, Scenario, int) *tensor.Tensor {
-	run := wino2DBatch(m, r, layout)
-	return func(in *tensor.Tensor, k *Kernel, s Scenario, threads int) *tensor.Tensor {
-		checkLayout(in, layout, "wino2d")
-		checkScenario(in, k, s)
-		out := tensor.New(layout, s.M, s.OutH(), s.OutW())
-		run(tensor.NewBatchWith(layout, 1, out.C, out.H, out.W, out.Data),
-			tensor.NewBatchWith(layout, 1, in.C, in.H, in.W, in.Data), k, s, threads)
-		return out
-	}
-}
-
 // wino1D returns a row-wise 1D Winograd Run for F(m, r): 2D convolution
 // as the sum over kernel rows of 1D convolutions, with channel and
 // kernel-row accumulation done in the Winograd domain per row tile.
@@ -214,15 +199,16 @@ func winoPrimitives() []*Primitive {
 		if layout != tensor.CHW {
 			suffix = "-" + layout.String()
 		}
-		ps = append(ps, &Primitive{
+		p := &Primitive{
 			Name:   fmt.Sprintf("wino2d-m%d-k%d-vf%d%s", m, r, vf, suffix),
 			Family: FamilyWinograd, In: layout, Out: layout,
 			VF: vf, Ks: []int{r}, MinC: 1,
 			WinoM: m, WinoR: r, Wino2D: true,
 			Workspace: winoWorkspace2D(m, r),
-			Run:       wino2D(m, r, layout),
 			RunBatch:  wino2DBatch(m, r, layout),
-		})
+		}
+		p.Run = p.oneImage
+		ps = append(ps, p)
 	}
 	add1d := func(m, r, vf int, layout tensor.Layout) {
 		suffix := ""

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"pbqpdnn/internal/gemm"
 	"pbqpdnn/internal/tensor"
 )
 
@@ -92,48 +93,15 @@ func TestWinoNonDivisibleTiles(t *testing.T) {
 }
 
 // TestWino2DBatchMatchesReference pins the batched 2D Winograd entry
-// directly to Reference. The per-image Run is a one-image call of the
-// same entry, so comparing the two (TestBatchedEntriesMatchPerImageRun)
-// no longer checks it independently. Covered: every wino2d primitive
-// (both layouts), N ∈ {1,3}, threads ∈ {1,3}, the batch grid, the
-// partial-tile geometries and two GoogLeNet inception shapes.
+// to Reference on two GoogLeNet inception shapes, beyond the small grid
+// TestBatchedEntriesMatchReference holds every batched entry to.
 func TestWino2DBatchMatchesReference(t *testing.T) {
-	scenarios := append(append([]Scenario{}, batchScenarios()...), winoOddScenarios...)
-	scenarios = append(scenarios,
-		Scenario{C: 96, H: 28, W: 28, Stride: 1, K: 3, M: 128, Pad: 1}, // inception 3a 3×3
-		Scenario{C: 16, H: 28, W: 28, Stride: 1, K: 5, M: 32, Pad: 2},  // inception 3a 5×5
-	)
-	const n = 3
-	for _, s := range scenarios {
-		k := NewKernel(s.M, s.C, s.K)
-		k.FillRandom(int64(s.C + s.M))
-		src := makeInputBatch(tensor.CHW, n, s)
-		want := make([]*tensor.Tensor, n)
-		for i := range want {
-			want[i] = Reference(src.Image(i), k, s)
-		}
-		for _, p := range Library() {
-			if !strings.HasPrefix(p.Name, "wino2d-") || !p.Supports(s) {
-				continue
-			}
-			in := tensor.NewBatch(p.In, n, s.C, s.H, s.W)
-			for i := 0; i < n; i++ {
-				tensor.ConvertInto(in.Image(i), src.Image(i))
-			}
-			for _, nb := range []int{1, n} {
-				sub := tensor.NewBatchWith(p.In, nb, s.C, s.H, s.W, in.Data[:nb*in.Stride])
-				dst := tensor.NewBatch(p.Out, nb, s.M, s.OutH(), s.OutW())
-				for _, threads := range []int{1, 3} {
-					RunBatchInto(p, dst, sub, k, s, threads)
-					for i := 0; i < nb; i++ {
-						if d := tensor.MaxAbsDiff(dst.Image(i), want[i]); d > tolFor(s) {
-							t.Errorf("%s on %s N=%d threads=%d image %d: max diff %g > tol %g",
-								p.Name, s, nb, threads, i, d, tolFor(s))
-						}
-					}
-				}
-			}
-		}
+	checked := batchedMatchesReference(t, []Scenario{
+		{C: 96, H: 28, W: 28, Stride: 1, K: 3, M: 128, Pad: 1}, // inception 3a 3×3
+		{C: 16, H: 28, W: 28, Stride: 1, K: 5, M: 32, Pad: 2},  // inception 3a 5×5
+	}, func(p *Primitive) bool { return strings.HasPrefix(p.Name, "wino2d-") })
+	if len(checked) == 0 {
+		t.Fatal("no wino2d primitive supports the inception shapes")
 	}
 }
 
@@ -162,7 +130,7 @@ func TestWino2DAllocsBounded(t *testing.T) {
 				// goroutine the stages fan out to.
 				bound := float64(8 + 12*(threads-1))
 				allocs := testing.AllocsPerRun(5, func() {
-					RunBatchInto(p, dst, in, k, s, threads)
+					RunInto(p, dst, in, k, s, threads, gemm.EpiNone, nil)
 				})
 				if allocs > bound {
 					t.Errorf("%s on %s threads=%d: %.0f allocations per call, want ≤ %.0f",

@@ -172,7 +172,7 @@ func scenarioEffMod(p *conv.Primitive, s conv.Scenario) float64 {
 }
 
 // batchGain is the batched-execution efficiency headroom of a
-// primitive's RunBatch implementation over N per-image dispatches,
+// primitive's batched implementation over N per-image dispatches,
 // beyond what operation counts capture: the batched cost model applies
 // 1 + batchGain·(1 − 1/N) as an efficiency multiplier. Calibrated from
 // wall-clock measurements of the real Go entry points on the reference
@@ -187,10 +187,10 @@ func scenarioEffMod(p *conv.Primitive, s conv.Scenario) float64 {
 //   - batched im2col's de-interleaving writeback cancels its single
 //     wide GEMM's advantage — measured batch-neutral, so no gain.
 //
-// Primitives without a RunBatch implementation execute through the
+// Primitives without a batched implementation execute through the
 // per-image fallback and get no gain by construction.
 func batchGain(p *conv.Primitive) float64 {
-	if p.RunBatch == nil {
+	if !p.Batched() {
 		return 0
 	}
 	switch {

@@ -248,7 +248,7 @@ func TestBatchAmortization(t *testing.T) {
 	late := conv.Scenario{C: 160, H: 7, W: 7, Stride: 1, K: 3, M: 320, Pad: 1}
 
 	wino := prim(t, "wino2d-m4-k3-vf8")
-	if wino.RunBatch == nil {
+	if !wino.Batched() {
 		t.Fatal("wino2d-m4-k3-vf8 has no batched entry; test assumption broken")
 	}
 	w1, wN := mo.Primitive(wino, late, 1), mo.PrimitiveBatch(wino, late, 1, n)
@@ -260,7 +260,7 @@ func TestBatchAmortization(t *testing.T) {
 	}
 
 	direct := prim(t, "direct-mchw")
-	if direct.RunBatch != nil {
+	if direct.Batched() {
 		t.Fatal("direct-mchw grew a batched entry; update the fallback side of this test")
 	}
 	d1, dN := mo.Primitive(direct, late, 1), mo.PrimitiveBatch(direct, late, 1, n)
@@ -330,7 +330,7 @@ func TestMeasureThreadsWired(t *testing.T) {
 
 // TestMeasureBatch: the batched measurement path must execute the real
 // batched entry points and return positive wall times, for primitives
-// with and without a RunBatch implementation.
+// with and without a batched implementation.
 func TestMeasureBatch(t *testing.T) {
 	me := NewMeasure(1)
 	s := conv.Scenario{C: 4, H: 12, W: 12, Stride: 1, K: 3, M: 4, Pad: 1}

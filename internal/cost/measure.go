@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"pbqpdnn/internal/conv"
+	"pbqpdnn/internal/gemm"
 	"pbqpdnn/internal/tensor"
 )
 
@@ -13,7 +14,7 @@ import (
 // paper's layerwise profiling step, which exploits the observation that
 // DNN layer runtime depends on input dimensions, not values (§2.2).
 // Batched costs come from wall-clocking the real batched entry points
-// (conv.RunBatchInto on an N-image tensor.Batch), so the serialized
+// (conv.RunInto on an N-image tensor.Batch), so the serialized
 // table prices exactly what the compiled batched engine executes.
 type Measure struct {
 	// Reps is the number of timed repetitions (best-of). Values < 1
@@ -86,10 +87,10 @@ func (me *Measure) Primitive(p *conv.Primitive, s conv.Scenario, threads int) fl
 }
 
 // PrimitiveBatch implements BatchProfiler by wall-clocking the real
-// batched entry point: one conv.RunBatchInto call over an n-image
-// batch slab, writing into a pre-allocated destination batch — the
-// exact call the compiled batched engine issues per conv instruction.
-// Primitives without a batched implementation go through RunBatchInto's
+// batched entry point: one conv.RunInto call over an n-image batch
+// slab, writing into a pre-allocated destination batch — the exact
+// call the compiled engine issues per conv instruction. Primitives
+// without a batched implementation go through RunInto's
 // per-image fallback, so their measured cost honestly reflects the
 // executor's fallback path too.
 func (me *Measure) PrimitiveBatch(p *conv.Primitive, s conv.Scenario, threads, n int) float64 {
@@ -109,7 +110,7 @@ func (me *Measure) PrimitiveBatch(p *conv.Primitive, s conv.Scenario, threads, n
 	}
 	k := measureKernel(s)
 	dst := tensor.NewBatch(p.Out, n, s.M, s.OutH(), s.OutW())
-	return me.bestOf(func() { conv.RunBatchInto(p, dst, in, k, s, threads) })
+	return me.bestOf(func() { conv.RunInto(p, dst, in, k, s, threads, gemm.EpiNone, nil) })
 }
 
 // Transform times a real layout transform on a c×h×w tensor.

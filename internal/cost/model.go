@@ -289,7 +289,7 @@ func (mo *Model) PrimitiveBatch(p *conv.Primitive, s conv.Scenario, threads, n i
 	if s.Batch > 1 {
 		return float64(n) * mo.Primitive(p, s, threads)
 	}
-	if p.RunBatch == nil {
+	if !p.Batched() {
 		return float64(n) * mo.Primitive(p, s, threads)
 	}
 	setup := setupOps(p, s)

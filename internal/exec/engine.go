@@ -21,11 +21,9 @@ package exec
 // run concurrently — and a batched instruction left alone on the pool
 // inherits the whole thread budget, splitting its images, GEMM rows or
 // Winograd points across the idle workers so chain networks cannot
-// strand the budget. The per-image path is retained as the batch-1
-// special case: a maxBatch-1 engine binds the original per-image
-// primitives (convolution outputs primitive-allocated, exactly the old
-// execution), which keeps it both the serving fallback for singleton
-// flushes and the comparison baseline for the batched path.
+// strand the budget. Batch 1 is a batch of one: a maxBatch-1 engine
+// runs the same kernels on the same per-image memory plan, every
+// convolution through conv.RunInto into its planned slot.
 
 import (
 	"context"
@@ -70,10 +68,9 @@ type Engine struct {
 	workers  int
 	maxBatch int
 
-	// kerns holds one bound kernel per instruction: the batched (or,
-	// at maxBatch 1, per-image) primitive call, batched layer operator,
-	// or fused conversion, with weights and destination policy resolved
-	// at construction.
+	// kerns holds one bound kernel per instruction: the conv.RunInto
+	// call, batched layer operator, or fused conversion, with weights
+	// and destination policy resolved at construction.
 	kerns []kernelFn
 
 	arena *arena
@@ -90,21 +87,21 @@ type Engine struct {
 // RunBatch chunk and returns the produced batched value.
 type kernelFn func(st *batchState, threads int) (*tensor.Batch, error)
 
-// NewEngine compiles the plan into the batch-1 Program IR — the
-// per-image execution path. It is NewEngineBatch at maxBatch 1.
+// NewEngine compiles the plan into the batch-1 Program IR. It is
+// NewEngineBatch at maxBatch 1.
 func NewEngine(plan *selector.Plan, w *Weights) (*Engine, error) {
 	return NewEngineBatch(plan, w, 1)
 }
 
 // NewEngineBatch compiles the plan into the Program IR for minibatches
 // of up to maxBatch images and binds every instruction's kernel. The
-// memory plan — slot capacities, in-place marks, conv-output slotting —
-// is sized by maxBatch; RunBatch calls with fewer images execute
-// against the same frame (using a prefix of each slot), and calls with
-// more images are split into maxBatch-sized chunks. Serving processes
-// that see several batch sizes should hold one engine per batch-size
-// bucket (serve.Registry does) so every dispatch lands on a
-// pre-planned program.
+// per-image memory plan — slot capacities, in-place marks — is the
+// same at every maxBatch, and the slot frame holds maxBatch images of
+// it; RunBatch calls with fewer images execute against the same frame
+// (using a prefix of each slot), and calls with more images are split
+// into maxBatch-sized chunks. Serving processes that see several batch
+// sizes should hold one engine per batch-size bucket (serve.Registry
+// does) so every dispatch lands on a pre-planned program.
 func NewEngineBatch(plan *selector.Plan, w *Weights, maxBatch int) (*Engine, error) {
 	if maxBatch < 1 {
 		return nil, fmt.Errorf("exec: invalid max batch %d", maxBatch)
@@ -180,12 +177,11 @@ func (e *Engine) MaxBatch() int { return e.maxBatch }
 
 // dst materializes the destination batch for an out-of-place
 // instruction: the tenant view of its planned slot, or a fresh
-// caller-owned allocation for the network output (and, in batch-1
-// programs, nothing — conv outputs there are primitive-allocated and
-// never pass through dst). Blocked-layout slot tenants clear their
-// view first — their padding lanes must hold zeros and their kernels
-// write only logical elements; plain layouts skip the memset because
-// every physical element is a logical element the kernel overwrites.
+// caller-owned allocation for the network output. Blocked-layout slot
+// tenants clear their view first — their padding lanes must hold zeros
+// and their kernels write only logical elements; plain layouts skip the
+// memset because every physical element is a logical element the
+// kernel overwrites.
 func (e *Engine) dst(st *batchState, ins *program.Instr) *tensor.Batch {
 	if ins.Slot == program.NoSlot {
 		return tensor.NewBatch(ins.Layout, st.n, ins.C, ins.H, ins.W)
@@ -233,12 +229,11 @@ func (e *Engine) bindKernels() error {
 			if k == nil {
 				return fmt.Errorf("exec: no weights for conv layer %q", l.Name)
 			}
-			// Bind-time geometry validation: the batched kernels write
-			// into engine-provided destinations and treat mismatches as
+			// Bind-time geometry validation: conv.RunInto writes into
+			// engine-provided destinations and treats mismatches as
 			// programming errors (panics), so anything a corrupted plan
 			// or weight set could get wrong must fail engine
-			// construction with an error instead — the behavior the
-			// per-image path's run-time checks gave the serving layer.
+			// construction with an error instead.
 			if sc.M != l.OutC || sc.OutH() != l.OutH || sc.OutW() != l.OutW {
 				return fmt.Errorf("exec: layer %q scenario %s produces %d×%d×%d, layer wants %d×%d×%d",
 					l.Name, sc, sc.M, sc.OutH(), sc.OutW(), l.OutC, l.OutH, l.OutW)
@@ -272,44 +267,10 @@ func (e *Engine) bindKernels() error {
 			}
 			wantIn := prim.In
 			if len(ins.CvtIn) > 0 {
-				if e.maxBatch == 1 {
-					return fmt.Errorf("exec: layer %q absorbs a conversion in a per-image engine", l.Name)
-				}
 				if len(ins.CvtIn) != 1 || ins.CvtIn[0].To != prim.In || !prim.CanAbsorbInput(ins.CvtIn[0].From) {
 					return fmt.Errorf("exec: layer %q: primitive %s cannot absorb input conversion", l.Name, prim.Name)
 				}
 				wantIn = ins.CvtIn[0].From
-			}
-			if e.maxBatch == 1 {
-				// The per-image path: the primitive allocates its own
-				// output, exactly as the original engine executed; a fused
-				// epilogue is applied in place on the fresh allocation,
-				// which is bitwise what the separate instruction computed.
-				e.kerns[i] = func(st *batchState, threads int) (*tensor.Batch, error) {
-					in := st.vals[ins.Args[0]].Image(0)
-					if in.Layout != prim.In {
-						return nil, fmt.Errorf("exec: layer %q: got %s input, primitive %s wants %s",
-							l.Name, in.Layout, prim.Name, prim.In)
-					}
-					out := prim.Run(in, k, sc, threads)
-					if out.C != l.OutC || out.H != l.OutH || out.W != l.OutW {
-						return nil, fmt.Errorf("exec: layer %q produced %s, want %d×%d×%d",
-							l.Name, out, l.OutC, l.OutH, l.OutW)
-					}
-					ob := tensor.NewBatchWith(out.Layout, 1, out.C, out.H, out.W, out.Data)
-					if epi != gemm.EpiNone {
-						var res *tensor.Batch
-						if hasRes {
-							res = st.vals[ins.Args[1]]
-							if res.Layout != ob.Layout || len(res.Data) < len(ob.Data) {
-								return nil, fmt.Errorf("exec: layer %q: residual batch mismatches output", l.Name)
-							}
-						}
-						conv.ApplyEpilogueBatch(ob, epi, res, threads)
-					}
-					return ob, nil
-				}
-				break
 			}
 			e.kerns[i] = func(st *batchState, threads int) (*tensor.Batch, error) {
 				in := st.vals[ins.Args[0]]
@@ -329,11 +290,7 @@ func (e *Engine) bindKernels() error {
 						return nil, fmt.Errorf("exec: layer %q: residual batch mismatches output", l.Name)
 					}
 				}
-				if epi == gemm.EpiNone && len(ins.CvtIn) == 0 {
-					conv.RunBatchInto(prim, out, in, k, sc, threads)
-				} else {
-					conv.RunBatchFusedInto(prim, out, in, k, sc, threads, epi, res)
-				}
+				conv.RunInto(prim, out, in, k, sc, threads, epi, res)
 				return out, nil
 			}
 

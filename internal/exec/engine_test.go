@@ -30,10 +30,9 @@ func newInput(net *dnn.Graph, seed int64) *tensor.Tensor {
 
 // testEngineAgainstReference runs the full chain on one network: a
 // PBQP-optimized plan executed by the engine must compute the same
-// function as the textbook reference executor — on both execution
-// paths: the per-image batch-1 engine (calls chunked image by image)
-// and the batched engine whose memory plan and kernels are sized to
-// the whole minibatch.
+// function as the textbook reference executor — both on the batch-1
+// engine (calls chunked image by image) and on the engine whose slot
+// frame holds the whole minibatch.
 func testEngineAgainstReference(t *testing.T, net *dnn.Graph, threads int, inputs []*tensor.Tensor) {
 	t.Helper()
 	w := NewWeights(net)
@@ -234,11 +233,11 @@ func TestEngineMatchesReferenceFullModels(t *testing.T) {
 }
 
 // TestEngineDeterministicSingleThread: at Threads=1 the engine must be
-// bitwise deterministic run to run, arena recycling included — on the
-// per-image path and on the batched path (whose restructured kernels
-// accumulate in a fixed order regardless of batch position). The pin
-// is scoped to one GEMM microkernel variant at a time: the AVX2 and
-// pure-Go packed microkernels associate partial products differently,
+// bitwise deterministic run to run, arena recycling included — at
+// batch 1 and batched (the batched kernels accumulate in a fixed order
+// regardless of batch position). The pin is scoped to one GEMM
+// microkernel variant at a time: the AVX2 and pure-Go packed
+// microkernels associate partial products differently,
 // so runs are bitwise repeatable only while dispatch stays on one
 // variant — which is the deployment reality, since the variant is
 // fixed at process start (CPUID + purego tag + DNN_NOSIMD). Outputs

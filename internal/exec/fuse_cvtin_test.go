@@ -1,9 +1,10 @@
 package exec
 
-// Crafted absorbed-conversion equivalence: real model plans pick
-// layout-consistent chains, so the pack-fused conversion path
-// (Instr.CvtIn — the im2row patch builder gathering CHW input
-// directly) never fires on them. This harness doctors a plan the same
+// Crafted absorbed-conversion equivalence: PBQP plans of the real
+// models pick layout-consistent chains, so the pack-fused conversion
+// path (Instr.CvtIn — the im2row patch builder gathering CHW input
+// directly) never fires on them (TestAbsorptionCensus counts where it
+// does). This harness doctors a plan the same
 // way internal/verify's coverage does — all-HWC selection, the conv
 // pinned to im2row-pack, the network input pinned to CHW with a
 // legalized one-step CHW→HWC chain — and proves the absorbed gather
@@ -62,9 +63,9 @@ func cvtInPlan(t *testing.T, threads int) *selector.Plan {
 }
 
 // TestEngineAbsorbedConversionMatchesReference executes the crafted
-// plan batched (where the compiler absorbs the conversion) and
-// image-by-image (where it does not — batch-1 programs keep explicit
-// conversions), checking both against the reference on distinct images.
+// plan batched and image by image — the compiler absorbs the
+// conversion at every batch size — checking both against the reference
+// on distinct images.
 func TestEngineAbsorbedConversionMatchesReference(t *testing.T) {
 	for _, threads := range []int{1, 2} {
 		plan := cvtInPlan(t, threads)
@@ -86,9 +87,8 @@ func TestEngineAbsorbedConversionMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if maxBatch > 1 && eng.prog.Stats.FusedConversions != 1 {
-				t.Fatalf("batched crafted plan absorbed %d conversions, want 1",
-					eng.prog.Stats.FusedConversions)
+			if got := eng.prog.Stats.FusedConversions; got != 1 {
+				t.Fatalf("crafted plan at maxBatch %d absorbed %d conversions, want 1", maxBatch, got)
 			}
 			outs, err := eng.RunBatch(inputs)
 			if err != nil {

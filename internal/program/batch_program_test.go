@@ -1,6 +1,7 @@
 package program
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -27,42 +28,46 @@ func compileBatch(t *testing.T, name string, threads, batch int) *Program {
 	return p
 }
 
-// TestCompileBatchSlotsConvOutputs: a batched program plans convolution
-// outputs into slots (batched kernels write into provided
-// destinations), while the batch-1 program leaves them dynamic (the
-// per-image primitives allocate). The network output stays fresh in
-// both.
+// TestCompileBatchSlotsConvOutputs: batch 1 is a batch of one. Every
+// bucket plans convolution outputs into slots (conv.RunInto writes into
+// provided destinations at every N), the network output stays a fresh
+// allocation, and a batch-agnostic plan compiles to the same per-image
+// memory plan — slots, donors, capacities — at N = 1 and N = 8, so the
+// batch-8 peak is exactly 8× the batch-1 peak.
 func TestCompileBatchSlotsConvOutputs(t *testing.T) {
 	p1 := compileBatch(t, "googlenet", 4, 1)
 	p8 := compileBatch(t, "googlenet", 4, 8)
 	if p1.Batch != 1 || p8.Batch != 8 {
 		t.Fatalf("batch fields %d/%d, want 1/8", p1.Batch, p8.Batch)
 	}
-	dyn1, dyn8 := 0, 0
+	for _, p := range []*Program{p1, p8} {
+		for i := range p.Instrs {
+			ins := &p.Instrs[i]
+			if ins.Op == OpConv && ins.Slot == NoSlot && i != p.Output {
+				t.Errorf("batch-%d program left conv output %q dynamic", p.Batch, ins.Name)
+			}
+		}
+		out := &p.Instrs[p.Output]
+		if out.Slot != NoSlot || out.Donor >= 0 {
+			t.Errorf("batch-%d program's output is not a fresh allocation", p.Batch)
+		}
+		if err := p.Validate(); err != nil {
+			t.Errorf("batch-%d program fails validation: %v", p.Batch, err)
+		}
+	}
+	if len(p1.Instrs) != len(p8.Instrs) || !reflect.DeepEqual(p1.SlotCap, p8.SlotCap) {
+		t.Fatalf("memory plans differ: %d/%d instructions, SlotCap %v vs %v",
+			len(p1.Instrs), len(p8.Instrs), p1.SlotCap, p8.SlotCap)
+	}
 	for i := range p1.Instrs {
-		ins := &p1.Instrs[i]
-		if ins.Op == OpConv && ins.Slot == NoSlot && i != p1.Output {
-			dyn1++
+		a, b := &p1.Instrs[i], &p8.Instrs[i]
+		if a.Name != b.Name || a.Slot != b.Slot || a.Donor != b.Donor {
+			t.Errorf("instr %d: %s slot %d donor %d at N=1, %s slot %d donor %d at N=8",
+				i, a.Name, a.Slot, a.Donor, b.Name, b.Slot, b.Donor)
 		}
 	}
-	for i := range p8.Instrs {
-		ins := &p8.Instrs[i]
-		if ins.Op == OpConv && ins.Slot == NoSlot && i != p8.Output {
-			dyn8++
-		}
-	}
-	if dyn1 == 0 {
-		t.Error("batch-1 program slotted its conv outputs (expected primitive-allocated)")
-	}
-	if dyn8 != 0 {
-		t.Errorf("batched program left %d conv outputs dynamic", dyn8)
-	}
-	out := &p8.Instrs[p8.Output]
-	if out.Slot != NoSlot || out.Donor >= 0 {
-		t.Error("batched program's output is not a fresh allocation")
-	}
-	if err := p8.Validate(); err != nil {
-		t.Errorf("batched plan fails validation: %v", err)
+	if p8.Stats.PeakBytes != 8*p1.Stats.PeakBytes {
+		t.Errorf("PeakBytes %d at N=8, want 8 × %d", p8.Stats.PeakBytes, p1.Stats.PeakBytes)
 	}
 }
 

@@ -22,8 +22,6 @@ import (
 //     sole consumer is a convolution's data input is absorbed into the
 //     convolution's patch-building pack (CvtIn) when the primitive's
 //     layout-general packer can gather the source layout directly.
-//     Batched programs only — per-image primitives allocate and
-//     convert on their original path.
 //
 // The merged instruction takes the epilogue's stream position (both
 // the convolution's input and the residual operand topologically
@@ -162,7 +160,7 @@ func (p *Program) tryFuseEpilogue(j int, dead []bool, uses []int) bool {
 // sole consumer's convolution pack.
 func (p *Program) tryAbsorbConversion(j int, dead []bool, uses, consumer []int) bool {
 	v := &p.Instrs[j]
-	if v.Op != OpConvert || p.Batch < 2 || len(v.Chain) != 1 {
+	if v.Op != OpConvert || len(v.Chain) != 1 {
 		return false
 	}
 	if uses[j] != 1 || consumer[j] < 0 {

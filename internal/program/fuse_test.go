@@ -168,28 +168,26 @@ func TestFusionReducesInstructionsOnModels(t *testing.T) {
 			// convert feeding a conv's data input either has a multi-step
 			// chain, another consumer, or a layout pair the primitive's
 			// packer cannot gather.
-			if batch > 1 {
-				for i := range p.Instrs {
-					v := &p.Instrs[i]
-					if v.Op != OpConvert || len(v.Chain) != 1 {
-						continue
-					}
-					var consumers []int
-					for j := range p.Instrs {
-						for _, a := range p.Instrs[j].Args {
-							if a == i {
-								consumers = append(consumers, j)
-							}
+			for i := range p.Instrs {
+				v := &p.Instrs[i]
+				if v.Op != OpConvert || len(v.Chain) != 1 {
+					continue
+				}
+				var consumers []int
+				for j := range p.Instrs {
+					for _, a := range p.Instrs[j].Args {
+						if a == i {
+							consumers = append(consumers, j)
 						}
 					}
-					if len(consumers) != 1 {
-						continue
-					}
-					k := &p.Instrs[consumers[0]]
-					if k.Op == OpConv && len(k.CvtIn) == 0 && k.Args[0] == i &&
-						v.Chain[0].To == k.Prim.In && k.Prim.CanAbsorbInput(v.Chain[0].From) {
-						t.Errorf("%s batch %d: absorbable conversion %q survived fusion", name, batch, v.Name)
-					}
+				}
+				if len(consumers) != 1 {
+					continue
+				}
+				k := &p.Instrs[consumers[0]]
+				if k.Op == OpConv && len(k.CvtIn) == 0 && k.Args[0] == i &&
+					v.Chain[0].To == k.Prim.In && k.Prim.CanAbsorbInput(v.Chain[0].From) {
+					t.Errorf("%s batch %d: absorbable conversion %q survived fusion", name, batch, v.Name)
 				}
 			}
 			t.Logf("%s batch %d: %d→%d instrs (%d epi, %d cvt), peak %d→%d KB",

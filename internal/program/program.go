@@ -88,9 +88,10 @@ func (o Op) String() string {
 }
 
 // NoSlot marks a value that does not live in a planned slot: the
-// primitive-allocated output of a convolution, or the caller-owned
-// network output (which must be freshly allocated every run so returned
-// tensors are never recycled underneath the caller).
+// caller-owned network output (which must be freshly allocated every
+// run so returned tensors are never recycled underneath the caller),
+// or any value of a hand-built program left unplanned, which the
+// engine allocates fresh.
 const NoSlot = -1
 
 // Instr is one instruction of the stream. Its ID doubles as the id of
@@ -142,7 +143,7 @@ type Instr struct {
 
 	// CvtIn, when non-empty, is a legalized input-conversion chain the
 	// fusion pass absorbed into the convolution's patch-building pack
-	// (OpConv at batch > 1 only): Args[0] arrives in CvtIn[0].From and the
+	// (OpConv only): Args[0] arrives in CvtIn[0].From and the
 	// layout-general packer gathers it directly, so the intermediate
 	// converted slab is never materialized.
 	CvtIn []tensor.Transform
@@ -192,8 +193,8 @@ type Stats struct {
 	// (per-image slot capacities × N).
 	SlotBytes int64
 	// DynamicPeakBytes is the peak of concurrently live dynamic values
-	// (per-image convolution outputs in batch-1 programs, and the
-	// caller-owned network output) under the sequential topological
+	// (the caller-owned network output, and any value a hand-built
+	// program leaves unslotted) under the sequential topological
 	// schedule, scaled by N. Parallel branch execution can hold more
 	// dynamic values live at once, so this is a lower bound on
 	// worst-case residency, not a ceiling.
@@ -225,10 +226,9 @@ type Program struct {
 	Plan *selector.Plan
 
 	// Batch is the minibatch size N this program was compiled for. The
-	// instruction stream is N-independent, but the memory plan is not:
-	// slot frames are sized by N, and batched programs (N > 1) plan
-	// convolution outputs into slots too, because batched conv kernels
-	// write into caller-provided destinations instead of allocating.
+	// instruction stream and the per-image memory plan are
+	// N-independent; only the slot frames' physical size (SlotCap × N)
+	// and the batch-scaled Stats depend on it.
 	Batch int
 
 	// Instrs is the topologically ordered instruction stream; an
@@ -312,9 +312,8 @@ func (p *Program) Clone() *Program {
 	return &q
 }
 
-// Compile lowers a checked plan into the batch-1 Program IR: the
-// per-image program whose convolution outputs are primitive-allocated.
-// It is CompileBatch at N = 1.
+// Compile lowers a checked plan into the batch-1 Program IR. It is
+// CompileBatch at N = 1.
 func Compile(plan *selector.Plan) (*Program, error) {
 	return CompileBatch(plan, 1)
 }
@@ -331,13 +330,11 @@ func Compile(plan *selector.Plan) (*Program, error) {
 // Plan.CheckBatch, so a serving registry cannot silently execute one
 // bucket against another bucket's optimization.
 //
-// The instruction stream is identical for every N; the memory plan is
-// not. At N = 1 convolution outputs stay dynamic (the per-image
-// primitives allocate their own outputs, preserving the original
-// per-image execution path); at N > 1 the batched kernels write into
-// caller-provided destinations, so convolution outputs join the
-// wildcard values in the planned slots and the whole batch executes
-// against a statically planned, arena-recycled frame.
+// Batch 1 is a batch of one: for a given plan the instruction stream
+// and the per-image memory plan (slots, donors, SlotCap) are identical
+// at every N. Every value except the network output lives in a planned
+// slot, so the whole batch executes against a statically planned,
+// arena-recycled frame of N images per slot.
 func CompileBatch(plan *selector.Plan, batch int) (*Program, error) {
 	return compilePlan(plan, batch, true)
 }
@@ -606,13 +603,10 @@ func (p *Program) planMemory() {
 			}
 		}
 
-		if ins.Donor < 0 && (ins.Op != OpConv || p.Batch > 1) && j != p.Output {
+		if ins.Donor < 0 && j != p.Output {
 			// Out-of-place value: claim a reusable slot whose guards are
 			// all strict ancestors, preferring the tightest capacity fit;
-			// grow or open a slot otherwise. Batch-1 programs exclude
-			// convolutions (their per-image primitives allocate outputs);
-			// batched programs slot them, since batched kernels write
-			// into provided destinations.
+			// grow or open a slot otherwise.
 			need := ins.DataLen()
 			best, bestWaste := -1, 0
 			for k, f := range free {
@@ -803,9 +797,6 @@ func (p *Program) Validate() error {
 			}
 			wantIn := ins.Prim.In
 			if len(ins.CvtIn) > 0 {
-				if p.Batch < 2 {
-					return fmt.Errorf("program: conv instr %q absorbs a conversion in a batch-1 program", ins.Name)
-				}
 				if len(ins.CvtIn) != 1 {
 					return fmt.Errorf("program: conv instr %q absorbs a %d-step chain", ins.Name, len(ins.CvtIn))
 				}

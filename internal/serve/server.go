@@ -119,6 +119,14 @@ func PublishExpvar(reg *Registry) {
 	}))
 }
 
+// maxInferBody bounds an inference request body for model m: a
+// generous per-element allowance (a float32 in shortest round-trip
+// form takes at most 15 bytes, "-1.1754944e-38", so 32 leaves room for
+// separators and whitespace) plus the JSON envelope.
+func maxInferBody(m *Model) int64 {
+	return 32*int64(m.InC*m.InH*m.InW) + 4096
+}
+
 func handleInfer(reg *Registry, w http.ResponseWriter, r *http.Request) {
 	m, ok := reg.Get(r.PathValue("model"))
 	if !ok {
@@ -126,7 +134,11 @@ func handleInfer(reg *Registry, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req InferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInferBody(m))).Decode(&req); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "decoding body: %v", err)
 		return
 	}

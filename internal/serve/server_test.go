@@ -106,6 +106,52 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestServerBoundsRequestBody: a body past the model's limit is
+// answered 413 without being decoded, while a valid body of exactly the
+// limit — every element at the widest float32 form, padded with
+// whitespace — is still served.
+func TestServerBoundsRequestBody(t *testing.T) {
+	reg := newTestRegistry(t)
+	srv := httptest.NewServer(NewServer(reg))
+	defer srv.Close()
+	m, _ := reg.Get("micronet")
+	limit := maxInferBody(m)
+
+	body := func(size int64) []byte {
+		b := []byte(`{"data":[`)
+		for i := 0; i < m.InC*m.InH*m.InW; i++ {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, "-1.1754944e-38"...)
+		}
+		b = append(b, ']')
+		if pad := size - int64(len(b)) - 1; pad >= 0 {
+			b = append(b, bytes.Repeat([]byte(" "), int(pad))...)
+		} else {
+			t.Fatalf("widest valid body is %d bytes, over the %d-byte limit", len(b)+1, size)
+		}
+		return append(b, '}')
+	}
+	for _, c := range []struct {
+		size int64
+		want int
+	}{
+		{limit, http.StatusOK},
+		{limit + 1, http.StatusRequestEntityTooLarge},
+		{4 * limit, http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := http.Post(srv.URL+"/v1/models/micronet/infer", "application/json", bytes.NewReader(body(c.size)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%d-byte body (limit %d): status %d, want %d", c.size, limit, resp.StatusCode, c.want)
+		}
+	}
+}
+
 func TestServerIntrospection(t *testing.T) {
 	reg := newTestRegistry(t)
 	srv := httptest.NewServer(NewServer(reg))

@@ -145,8 +145,9 @@ func TestMutationFusionResidualSlotConflict(t *testing.T) {
 // cvtInProgram compiles a crafted plan whose convolution absorbs its
 // input conversion: an all-HWC selection with the network input pinned
 // to CHW and the conv pinned to an im2row primitive, whose patch pack
-// gathers CHW directly. Real model plans pick layout-consistent chains,
-// so absorbed-conversion coverage comes from this crafted plan.
+// gathers CHW directly. PBQP plans of the real models almost never
+// absorb (TestAbsorptionCensus), so absorbed-conversion mutation
+// coverage comes from this small crafted plan.
 func cvtInProgram(t testing.TB, batch int) *program.Program {
 	t.Helper()
 	b, x := dnn.NewBuilder("cvtin", 3, 12, 12)

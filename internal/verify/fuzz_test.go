@@ -47,8 +47,8 @@ func fuzzBases(t testing.TB) []*fuzzBase {
 		}
 		bases = append(bases, b)
 	}
-	// The crafted absorbed-conversion program: the only program shape
-	// with a populated CvtIn (real plans select layout-consistent
+	// The crafted absorbed-conversion program: the bases above carry
+	// no populated CvtIn (their PBQP plans select layout-consistent
 	// chains), so conversion-absorption mutants get a live target.
 	cp := cvtInProgram(t, 3)
 	cnet := cp.Plan.Net

@@ -134,8 +134,9 @@ func TestMutationDonorSlotAndAlias(t *testing.T) {
 	}
 }
 
-// TestMutationShrinkSlot shrinks a slot together with its sole tenant's
-// declared channel count, so the tenant still "fits" and Validate's
+// TestMutationShrinkSlot shrinks a slot together with its strictly
+// largest tenant's declared channel count, keeping the capacity at or
+// above every other tenant, so each tenant still "fits" and Validate's
 // local capacity check passes — but the instruction no longer produces
 // the layer's shape, and at run time the kernel would write past the
 // shrunken buffer. The verifier re-derives shapes from the network.
@@ -144,15 +145,22 @@ func TestMutationShrinkSlot(t *testing.T) {
 	for _, model := range []string{"micronet", "smallnet", "alexnet"} {
 		for _, batch := range []int{1, 3, 8} {
 			p := compileFor(t, model, "pbqp", batch)
-			tenants := make([]int, len(p.SlotCap))
+			// The two largest tenant lengths of each slot.
+			first, second := make([]int, len(p.SlotCap)), make([]int, len(p.SlotCap))
 			for j := range p.Instrs {
-				if p.Instrs[j].Slot >= 0 {
-					tenants[p.Instrs[j].Slot]++
+				s, n := p.Instrs[j].Slot, p.Instrs[j].DataLen()
+				switch {
+				case s < 0:
+				case n > first[s]:
+					first[s], second[s] = n, first[s]
+				case n > second[s]:
+					second[s] = n
 				}
 			}
 			for j := range p.Instrs {
 				ins := &p.Instrs[j]
-				if ins.Slot < 0 || ins.Donor >= 0 || ins.C < 2 || tenants[ins.Slot] != 1 {
+				if ins.Slot < 0 || ins.Donor >= 0 || ins.C < 2 || ins.DataLen() != first[ins.Slot] ||
+					first[ins.Slot] == second[ins.Slot] {
 					continue
 				}
 				q := p.Clone()
@@ -166,7 +174,7 @@ func TestMutationShrinkSlot(t *testing.T) {
 				if m.DataLen() == ins.DataLen() {
 					continue
 				}
-				q.SlotCap[m.Slot] = m.DataLen()
+				q.SlotCap[m.Slot] = max(m.DataLen(), second[m.Slot])
 				if expectRejected(t, q, "shrink-slot "+model) {
 					found++
 				}
@@ -176,6 +184,7 @@ func TestMutationShrinkSlot(t *testing.T) {
 	if found == 0 {
 		t.Fatal("no shrinkable slot found in any scanned program; mutation class untested")
 	}
+	t.Logf("%d shrink-slot mutants rejected", found)
 }
 
 // TestMutationRewireArg redirects an instruction's argument to an
@@ -231,30 +240,12 @@ scan:
 }
 
 // TestMutationMisScaledBatch re-declares a compiled program's batch
-// size. Validate has no notion of batch scaling at all; the verifier
-// re-derives the batch-dependent placement rules (batch-1 conv outputs
-// are primitive-allocated, batched conv outputs must be slotted) and
-// the plan/batch bucket agreement.
+// size. Validate has no notion of plans selected for a batch bucket;
+// the verifier re-derives the plan/batch bucket agreement. (Re-declaring
+// a batch-agnostic program's batch is no corruption: its stream and
+// per-image memory plan are the same at every N, which
+// program.TestCompileBatchSlotsConvOutputs pins.)
 func TestMutationMisScaledBatch(t *testing.T) {
-	// A per-image program re-declared as batched: its conv outputs are
-	// unslotted, so the batched kernels would have no destination.
-	p1 := compileFor(t, "micronet", "pbqp", 1)
-	q := p1.Clone()
-	q.Batch = 3
-	if !expectRejected(t, q, "batch 1→3") {
-		t.Fatal("Validate caught the batch re-declaration; mutation class untested")
-	}
-
-	// A batched program re-declared per-image: its conv outputs sit in
-	// slots the per-image primitives would ignore, leaking the frame
-	// contract.
-	p3 := compileFor(t, "micronet", "pbqp", 3)
-	q = p3.Clone()
-	q.Batch = 1
-	if !expectRejected(t, q, "batch 3→1") {
-		t.Fatal("Validate caught the batch re-declaration; mutation class untested")
-	}
-
 	// A batch-aware plan executed at the wrong bucket: the program's
 	// structure is batch-agnostic, but the plan's costs are not.
 	net, err := models.Build("micronet")
@@ -269,7 +260,7 @@ func TestMutationMisScaledBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q = pb.Clone()
+	q := pb.Clone()
 	q.Batch = 8
 	if !expectRejected(t, q, "bucket 3→8") {
 		t.Fatal("Validate caught the bucket mismatch; mutation class untested")

@@ -450,15 +450,12 @@ func (v *verifier) checkFusion(j int) error {
 		}
 	}
 
-	// Absorbed input conversion: convolutions in batched programs only,
-	// one-step chains only, and the primitive's layout-general packer
-	// must support the source layout.
+	// Absorbed input conversion: convolutions only, one-step chains
+	// only, and the primitive's layout-general packer must support the
+	// source layout.
 	if len(ins.CvtIn) > 0 {
 		if ins.Op != program.OpConv {
 			return fmt.Errorf("verify: instr %d (%s %s) absorbs an input conversion", j, ins.Op, ins.Name)
-		}
-		if p.Batch < 2 {
-			return fmt.Errorf("verify: instr %d (%s) absorbs a conversion in a batch-1 program", j, ins.Name)
 		}
 		if len(ins.CvtIn) != 1 {
 			return fmt.Errorf("verify: instr %d (%s) absorbs a %d-step chain", j, ins.Name, len(ins.CvtIn))
@@ -811,31 +808,19 @@ func (v *verifier) checkDonations() error {
 	return nil
 }
 
-// checkSlots re-derives the batch-dependent placement rules and
-// simulates slot occupancy under the adversarial scheduler: any two
+// checkSlots re-derives the placement rule and simulates slot occupancy under the adversarial scheduler: any two
 // tenancies of one slot must be totally ordered, counting every
 // instruction that can touch the buffer (the tenant, its donees, and
 // all their consumers).
 func (v *verifier) checkSlots() error {
 	p := v.p
 
-	// Placement rules.
+	// Placement rule, the same at every batch: every value except the
+	// network output and in-place results writes a planned slot.
 	for j := range p.Instrs {
 		ins := &p.Instrs[j]
-		if j == p.Output || ins.Donor >= 0 {
-			continue
-		}
-		switch {
-		case ins.Op == program.OpConv && p.Batch == 1:
-			if ins.Slot != noSlot {
-				return fmt.Errorf("verify: batch-1 program slots conv output %q (slot %d); per-image primitives allocate their own",
-					ins.Name, ins.Slot)
-			}
-		default:
-			if ins.Slot == noSlot {
-				return fmt.Errorf("verify: instr %d (%s) is unslotted; at batch %d it must write a planned slot",
-					j, ins.Name, p.Batch)
-			}
+		if j != p.Output && ins.Donor < 0 && ins.Slot == noSlot {
+			return fmt.Errorf("verify: instr %d (%s) is unslotted; it must write a planned slot", j, ins.Name)
 		}
 	}
 
